@@ -87,3 +87,24 @@ final class HLHk(val k: Int) {
       phk.valuesIterator.map(_.size.toLong).sum +
       ghk.valuesIterator.map(v => v.size.toLong * math.max(1, k)).sum
 }
+
+object HLHk {
+  /** Level 1 presented as an HLH_k, so that level 2 extends it exactly as
+    * level k extends level k-1: group `(e)` of each candidate event, in
+    * canonical order, holds the one pattern `(e)` with e's support set, and
+    * its occurrences at granule g are e's instances there as 1-tuples.
+    * A view for mining only — it holds nothing HLH1 does not, and the
+    * retained-entry count (`MiningStats.peakEntries`) does not include it.
+    */
+  def level1(hlh1: HLH1): HLHk = {
+    val view = new HLHk(1)
+    for (e <- hlh1.candidates) {
+      val p = PatternKey.single(e)
+      val sup = hlh1.support(e)
+      view.ehk.update(Vector(e), GroupEntry(sup, Vector(p)))
+      view.phk.update(p, sup)
+      for ((g, is) <- hlh1.gh(e)) view.ghk.update((p, g), is.map(Vector(_)))
+    }
+    view
+  }
+}

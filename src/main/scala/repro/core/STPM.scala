@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.annotation.tailrec
 import scala.collection.mutable
 import repro.core.Relations.RelCfg
 
@@ -53,28 +54,40 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
   def keys: Set[PatternKey] = frequent.iterator.map(_.key).toSet
 }
 
-/** Result of mining one k-event group: its support set, candidate-or-not
-  * patterns with their supports, occurrence tuples per (pattern, granule),
-  * and the relation-check count spent. Serializable — level-2 instances of
-  * this travel back from Spark executors (see [[repro.core.SparkSTPM]]).
+/** One group-mining task: extend the (k-1)-event `group` of the previous
+  * level by event `ek`; `sup` is the k-event group's support set.
+  */
+final case class GroupTask(group: Vector[Event], ek: Event, sup: Vector[Int])
+
+/** A candidate pattern of a mined group: its support set and, aligned with
+  * it, the occurrence instance tuples at each supporting granule.
+  */
+final case class MinedPattern(
+    key: PatternKey,
+    support: Vector[Int],
+    occs: Vector[Vector[Vector[Instance]]])
+
+/** Result of mining one k-event group: its support set, its candidate
+  * patterns, and the relation checks and occurrences spent on it.
+  * Serializable — level-2 instances of this travel back from Spark
+  * executors (see [[repro.core.SparkSTPM]]).
   */
 final case class GroupMined(
     group: Vector[Event],
     sup: Vector[Int],
-    patterns: Vector[(PatternKey, Vector[Int])],
-    occs: Map[(PatternKey, Int), Vector[Vector[Instance]]],
-    checks: Long)
+    patterns: Vector[MinedPattern],
+    checks: Long,
+    occurrences: Long)
 
 /** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1). */
 object STPM {
 
-  /** Pluggable execution of the level-2 workload: given the database, the
-    * config and the admitted (e0, e1, support) pair list, return each
-    * group's mining result *in input order*. The default runs inline; the
-    * Spark variant fans the list out with `mapPartitions`.
+  /** Pluggable execution of the level-2 workload: given the admitted
+    * level-2 tasks, return each task's `mineGroup` result *in input order*.
+    * Without one the tasks run inline; the Spark variant fans the list out
+    * with `mapPartitions`.
     */
-  private[repro] type Level2Exec =
-    (SeqDB, STPMConfig, Vector[(Event, Event, Vector[Int])]) => Vector[GroupMined]
+  private[repro] type Level2Exec = Vector[GroupTask] => Vector[GroupMined]
 
   /** Mine all frequent seasonal temporal patterns of length <= cfg.maxK. */
   def mine(db: SeqDB, cfg: STPMConfig): MiningResult =
@@ -105,199 +118,160 @@ object STPM {
       frequent += FrequentPattern(PatternKey.single(e), sup, seasons)
     stats.noteEntries(hlh1.entryCount)
 
-    // Step 2.2 — frequent seasonal k-event patterns (Alg. 1 lines 10–23).
-    var prev: Option[HLHk] = None
-    var k = 2
-    var exhausted = false
-    while (k <= cfg.maxK && !exhausted) {
+    // Step 2.2 — frequent seasonal k-event patterns (Alg. 1 lines 10–23):
+    // each level extends the one before it, level 2 the level-1 view.
+    @tailrec def levels(prev: HLHk): Unit = if (prev.k < cfg.maxK) {
+      val k = prev.k + 1
       // The pair filter applies at level 2 only — A-STPM mines k >= 3
-      // exactly (Alg. 2 lines 9–10).
-      val hlhk = mineLevel(db, hlh1, prev, k, cfg, stats,
+      // exactly (Alg. 2 lines 9–10). The executor, too, runs level 2 only.
+      val hlhk = mineLevel(hlh1, prev, cfg, stats,
         pairFilter = if (k == 2) pairFilter else None,
-        level2Exec = level2Exec)
+        exec = if (k == 2) level2Exec else None)
       stats.candidateGroups.update(k, hlhk.ehk.size)
       stats.candidatePatterns.update(k, hlhk.phk.size)
-      stats.noteEntries(hlh1.entryCount + prev.map(_.entryCount).getOrElse(0L) + hlhk.entryCount)
+      val prevEntries = if (prev.k > 1) prev.entryCount else 0L // the view holds none
+      stats.noteEntries(hlh1.entryCount + prevEntries + hlhk.entryCount)
       for ((p, sup) <- hlhk.phk; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
         frequent += FrequentPattern(p, sup, seasons)
-      exhausted = hlhk.phk.isEmpty
-      prev = Some(hlhk)
-      k += 1
+      if (hlhk.phk.nonEmpty) levels(hlhk)
     }
+    if (cfg.maxK >= 2) levels(HLHk.level1(hlh1))
     MiningResult(frequent.result(), stats)
   }
 
-  /** Mine one HLH level: candidate k-event groups (Sec. 4.1) and candidate
-    * k-event patterns (Sec. 4.2).
+  /** Mine HLH level k = prev.k + 1 (Sec. IV-D): candidate k-event groups,
+    * each a group of `prev` extended by one candidate event, and their
+    * candidate k-event patterns. Each group is stored as soon as it is
+    * mined — by `mineGroup`, or by `exec` over the whole task list — and
+    * only here are its work counts added to `stats`.
     */
   private[core] def mineLevel(
-      db: SeqDB,
       hlh1: HLH1,
-      prevOpt: Option[HLHk],
-      k: Int,
+      prev: HLHk,
       cfg: STPMConfig,
       stats: MiningStats,
-      pairFilter: Option[(String, String) => Boolean],
-      level2Exec: Option[Level2Exec] = None): HLHk = {
-    require((k == 2) == prevOpt.isEmpty, "level k>2 requires the previous level")
-    val hlhk = new HLHk(k)
+      pairFilter: Option[(String, String) => Boolean] = None,
+      exec: Option[Level2Exec] = None): HLHk = {
+    val k = prev.k + 1
     val f1 = hlh1.candidates
+    // Transitivity pruning (Lemma 4): from level 3 on, only events
+    // appearing in *candidate* (k-1)-patterns may extend a group. When the
+    // Apriori flag is off, phk holds unfiltered patterns — apply the
+    // maxSeason candidacy test here so the transitivity flag stays
+    // meaningful on its own (the paper's Trans-only ablation variant).
+    val filteredF1 =
+      if (k >= 3 && cfg.transitivity) {
+        val pe = prev.phk.iterator
+          .filter { case (_, sup) => Seasonality.isCandidate(sup.size, cfg.season) }
+          .flatMap(_._1.events).toSet
+        f1.filter(pe.contains)
+      } else f1
+    def eachTask(f: GroupTask => Unit): Unit = for {
+      (group, entry) <- prev.ehk
+      ek <- filteredF1
+      // Canonical extension only; ek == group.last repeats an event (at
+      // level 2, the self-pairs).
+      if Event.ordering.gteq(ek, group.last)
+      if pairFilter.forall(pf => pf(group.last.series, ek.series))
+    } {
+      val sup = intersectSorted(entry.support, hlh1.support(ek))
+      if (admitted(sup.size, cfg)) f(GroupTask(group, ek, sup))
+    }
 
-    if (k == 2) {
-      // Cartesian F1 x F1 as canonical sorted pairs (self-pairs admitted —
-      // the search-space derivation counts P(n,2)+n groups).
-      val admitted = (for {
-        i <- f1.indices.iterator
-        j <- (i until f1.size).iterator
-        e0 = f1(i); e1 = f1(j)
-        if pairFilter.forall(f => f(e0.series, e1.series))
-        sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
-        if groupAdmitted(sup, cfg)
-      } yield (e0, e1, sup)).toVector
-      val mined = level2Exec match {
-        case Some(exec) => exec(db, cfg, admitted)
-        case None => admitted.map { case (a, b, s) => minePairData(hlh1, a, b, s, cfg) }
-      }
-      for (gm <- mined) {
-        stats.relationChecks += gm.checks
-        stats.occurrences += gm.checks
-        commit(hlhk, gm, cfg)
-      }
-    } else {
-      val prev = prevOpt.get
-      // Transitivity pruning (Lemma 4): only events appearing in
-      // *candidate* (k-1)-patterns may extend a group. When the Apriori
-      // flag is off, phk holds unfiltered patterns — apply the maxSeason
-      // candidacy test here so the transitivity flag stays meaningful on
-      // its own (the paper's Trans-only ablation variant).
-      val filteredF1 =
-        if (cfg.transitivity) {
-          val pe = prev.phk.iterator
-            .filter { case (_, sup) => Seasonality.isCandidate(sup.size, cfg.season) }
-            .flatMap(_._1.events).toSet
-          f1.filter(pe.contains)
-        } else f1
-      for {
-        (group, entry) <- prev.ehk
-        ek <- filteredF1
-        if Event.ordering.gteq(ek, group.last) // canonical extension only
-      } {
-        val sup = intersectSorted(entry.support, hlh1.support(ek))
-        if (groupAdmitted(sup, cfg)) {
-          val gm = extendGroupData(hlh1, prev, group, entry, ek, sup, cfg, stats)
-          commit(hlhk, gm, cfg)
+    val hlhk = new HLHk(k)
+    def store(gm: GroupMined): Unit = {
+      stats.relationChecks += gm.checks
+      stats.occurrences += gm.occurrences
+      if (gm.patterns.nonEmpty) {
+        hlhk.ehk.update(gm.group, GroupEntry(gm.sup, gm.patterns.map(_.key)))
+        for (mp <- gm.patterns) {
+          hlhk.phk.update(mp.key, mp.support)
+          for ((g, occs) <- mp.support.lazyZip(mp.occs)) hlhk.ghk.update((mp.key, g), occs)
         }
       }
+    }
+    exec match {
+      case Some(run) =>
+        val tasks = Vector.newBuilder[GroupTask]
+        eachTask(tasks += _)
+        run(tasks.result()).foreach(store)
+      case None => eachTask(t => store(mineGroup(hlh1, prev, t, cfg)))
     }
     hlhk
   }
 
-  /** Candidate k-event group test: maxSeason >= minSeason when Apriori-like
-    * pruning is on (Sec. IV-B); otherwise only non-emptiness.
+  /** Candidate test for a k-event group or pattern with `n` supporting
+    * granules: maxSeason >= minSeason when Apriori-like pruning is on
+    * (Sec. IV-B); otherwise only non-emptiness.
     */
-  private def groupAdmitted(sup: Vector[Int], cfg: STPMConfig): Boolean =
-    if (cfg.apriori) Seasonality.isCandidate(sup.size, cfg.season) else sup.nonEmpty
+  private def admitted(n: Int, cfg: STPMConfig): Boolean =
+    if (cfg.apriori) Seasonality.isCandidate(n, cfg.season) else n > 0
 
-  /** Mine candidate 2-event patterns of group (e0, e1) (Sec. 4.2.1) into a
-    * serializable result. Pure w.r.t. its inputs — safe on executors.
+  /** The group-mining kernel (Sec. IV-D 4.2): mine group
+    * `task.group :+ task.ek` by extending every candidate (k-1)-pattern of
+    * `task.group` with instances of `task.ek`. At each granule of the
+    * group's support each stored occurrence grows by one instance, and the
+    * new slot-pair relations are appended; from k = 3 on they are
+    * iteratively checked against candidate 2-patterns when transitivity
+    * pruning is on. At k = 2, `prev` is the level-1 view
+    * ([[HLHk.level1]]). Returns only candidate patterns, and its work as
+    * values; pure in its inputs, so it also runs on executors.
     */
-  private[repro] def minePairData(
-      hlh1: HLH1,
-      e0: Event, e1: Event,
-      sup: Vector[Int],
-      cfg: STPMConfig): GroupMined = {
-    val perPattern = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
-    val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
-    val self = e0 == e1
-    var checks = 0L
-    for (g <- sup) {
-      val as = hlh1.instancesAt(e0, g)
-      val bs = hlh1.instancesAt(e1, g)
-      for {
-        a <- as
-        b <- bs
-        if a != b
-        // For self-pairs enumerate unordered instance pairs once.
-        if !self || Instance.ordering.lt(a, b)
-      } {
-        checks += 1
-        val (first, _, rel) = Relations.orientAndRelate(a, b, cfg.rel)
-        // For self-pairs the two slots are interchangeable — the flag
-        // carries no information and is canonicalized to true.
-        val key = PatternKey(Vector(e0, e1), Vector((rel, self || first == a)))
-        val s = perPattern.getOrElseUpdate(key, mutable.ArrayBuffer.empty)
-        if (s.isEmpty || s.last != g) s += g
-        occ.getOrElseUpdate((key, g), mutable.ArrayBuffer.empty) += Vector(a, b)
-      }
-    }
-    GroupMined(Vector(e0, e1), sup,
-      perPattern.iterator.map { case (p, s) => (p, s.toVector) }.toVector,
-      occ.iterator.map { case (k, v) => (k, v.toVector) }.toMap,
-      checks)
-  }
-
-  /** Extend every candidate (k-1)-pattern of `group` with instances of `ek`
-    * (Sec. 4.2.2): for each granule in the group's support, each stored
-    * occurrence grows by one instance; the new slot-pair relations are
-    * appended, iteratively checked against candidate 2-patterns when
-    * transitivity pruning is on.
-    */
-  private def extendGroupData(
+  private[repro] def mineGroup(
       hlh1: HLH1,
       prev: HLHk,
-      group: Vector[Event],
-      entry: GroupEntry,
-      ek: Event,
-      sup: Vector[Int],
-      cfg: STPMConfig,
-      stats: MiningStats): GroupMined = {
+      task: GroupTask,
+      cfg: STPMConfig): GroupMined = {
+    val GroupTask(group, ek, sup) = task
     val newGroup = group :+ ek
-    val perPattern = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
-    val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
+    val k = newGroup.size
+    val iterative = cfg.transitivity && k >= 3
     val dupOfLast = ek == group.last
+    val parentPatterns = prev.ehk(group).patterns.map(p => (p, prev.support(p)))
+    val perPattern = mutable.LinkedHashMap.empty[PatternKey,
+      (mutable.ArrayBuffer[Int], mutable.ArrayBuffer[mutable.ArrayBuffer[Vector[Instance]]])]
     var checks = 0L
-    for (g <- sup; p <- entry.patterns) {
-      val pSup = prev.support(p)
-      if (containsSorted(pSup, g)) {
-        val parents = prev.occurrencesAt(p, g)
-        val eks = hlh1.instancesAt(ek, g)
-        for {
-          parent <- parents
-          ei <- eks
-          if !parent.contains(ei)
-          // For a duplicated trailing event keep instance tuples canonical
-          // (ascending) so each unordered combination appears once.
-          if !dupOfLast || Instance.ordering.lt(parent.last, ei)
-        } {
-          val newRels = Vector.newBuilder[(Rel, Boolean)]
-          var ok = true
-          var s = 0
-          while (ok && s < parent.size) {
-            checks += 1
-            val a = parent(s)
-            val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
-            ok = !cfg.transitivity ||
-              pairIsCandidate(newGroup.size, prev, hlh1, first, second, rel, cfg)
-            // Same-event slot pairs canonicalize to flag = true (relations
-            // are between events; instance order carries no identity).
-            newRels += ((rel, a.event == ei.event || first == a))
-            s += 1
+    var occurrences = 0L
+    for (g <- sup; (p, pSup) <- parentPatterns if containsSorted(pSup, g)) {
+      val eks = hlh1.instancesAt(ek, g)
+      for {
+        parent <- prev.occurrencesAt(p, g)
+        ei <- eks
+        if !parent.contains(ei)
+        // For a duplicated trailing event keep instance tuples canonical
+        // (ascending) so each unordered combination appears once.
+        if !dupOfLast || Instance.ordering.lt(parent.last, ei)
+      } {
+        var rels = p.rels
+        var ok = true
+        var s = 0
+        while (ok && s < parent.size) {
+          checks += 1
+          val a = parent(s)
+          val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
+          ok = !iterative || pairIsCandidate(k, prev, hlh1, first, second, rel, cfg)
+          // Same-event slot pairs canonicalize to flag = true (relations
+          // are between events; instance order carries no identity).
+          rels = rels :+ ((rel, a.event == ei.event || first == a))
+          s += 1
+        }
+        if (ok) {
+          val key = PatternKey(newGroup, rels)
+          val (keySup, keyOccs) = perPattern.getOrElseUpdate(key,
+            (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
+          if (keySup.isEmpty || keySup.last != g) {
+            keySup += g; keyOccs += mutable.ArrayBuffer.empty
           }
-          if (ok) {
-            val key = PatternKey(newGroup, p.rels ++ newRels.result())
-            val supBuf = perPattern.getOrElseUpdate(key, mutable.ArrayBuffer.empty)
-            if (supBuf.isEmpty || supBuf.last != g) supBuf += g
-            occ.getOrElseUpdate((key, g), mutable.ArrayBuffer.empty) += (parent :+ ei)
-            stats.occurrences += 1
-          }
+          keyOccs.last += (parent :+ ei)
+          occurrences += 1
         }
       }
     }
-    stats.relationChecks += checks
-    GroupMined(newGroup, sup,
-      perPattern.iterator.map { case (p, s) => (p, s.toVector) }.toVector,
-      occ.iterator.map { case (k, v) => (k, v.toVector) }.toMap,
-      checks)
+    val candidates = perPattern.iterator.collect {
+      case (key, (keySup, keyOccs)) if admitted(keySup.size, cfg) =>
+        MinedPattern(key, keySup.toVector, keyOccs.iterator.map(_.toVector).toVector)
+    }.toVector
+    GroupMined(newGroup, sup, candidates, checks, occurrences)
   }
 
   /** Iterative check (Sec. 4.2.2): the oriented triple (rel, first, second)
@@ -325,24 +299,6 @@ object STPM {
       // Deeper levels: group-level candidate test (cheaper, still sound).
       val sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
       Seasonality.isCandidate(sup.size, cfg.season)
-    }
-  }
-
-  /** Store a mined group into HLH_k, applying the maxSeason filter on its
-    * patterns (Apriori-like pruning).
-    */
-  private[repro] def commit(hlhk: HLHk, gm: GroupMined, cfg: STPMConfig): Unit = {
-    val byKey = gm.patterns.toMap
-    val kept = gm.patterns.iterator.filter { case (_, s) =>
-      if (cfg.apriori) Seasonality.isCandidate(s.size, cfg.season) else s.nonEmpty
-    }.map(_._1).toVector
-    if (kept.nonEmpty) {
-      hlhk.ehk.update(gm.group, GroupEntry(gm.sup, kept))
-      for (p <- kept) {
-        hlhk.phk.update(p, byKey(p))
-        for (g <- byKey(p))
-          hlhk.ghk.update((p, g), gm.occs((p, g)))
-      }
     }
   }
 

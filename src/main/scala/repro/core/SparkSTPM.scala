@@ -9,11 +9,12 @@ import org.apache.spark.sql.functions._
   * Phase 1 (data transformation) runs as Catalyst DataFrame transforms:
   * symbolization → granule assignment → per-(series, granule) run-length
   * encoding into event instances. Phase 2 parallelism follows the
-  * single-node-parallelizable shape: the candidate 2-event pair list is
-  * partitioned and mined inside `mapPartitions` against a broadcast D_SEQ,
-  * each partition running the same pruned STPM kernel; levels k >= 3
-  * proceed on the driver over the merged HLH2. MI for A-STPM is computed
-  * with Spark SQL aggregations over D_SYB.
+  * single-node-parallelizable shape: only level 2 is distributed — its
+  * group tasks are partitioned and mined inside `mapPartitions` against a
+  * broadcast D_SEQ, each partition running the same group-mining kernel
+  * as the local miner; levels k >= 3 proceed on the driver over the
+  * merged HLH2. MI for A-STPM is computed with Spark SQL aggregations over
+  * D_SYB.
   */
 object SparkSTPM {
 
@@ -29,18 +30,18 @@ object SparkSTPM {
     }.toDF("series", "pos", "value")
   }
 
-  /** Symbolize raw values with per-series ascending cut points (Def. 3.7):
-    * symbol = number of cuts at or below the value, as a string.
+  /** Symbolize raw values with per-series ascending cut points (Def. 3.7)
+    * through [[Symbolizer.symbolOf]]; a NaN value fails the job, naming its
+    * series and position.
     */
   def symbolize(raw: DataFrame, cutsBySeries: Map[String, Vector[Double]]): DataFrame = {
-    val enc = udf { (series: String, value: Double) =>
+    val enc = udf { (series: String, pos: Int, value: Double) =>
       val cuts = cutsBySeries.getOrElse(series,
         throw new NoSuchElementException(s"no cuts for series $series"))
-      var i = 0
-      while (i < cuts.size && value >= cuts(i)) i += 1
-      i.toString
+      Symbolizer.symbolOf(value, cuts, pos, series)
     }
-    raw.select(col("series"), col("pos"), enc(col("series"), col("value")).as("symbol"))
+    raw.select(col("series"), col("pos"),
+      enc(col("series"), col("pos"), col("value")).as("symbol"))
   }
 
   /** Sequence mapping g: X_S →_m H plus run-length encoding (Defs.
@@ -133,10 +134,10 @@ object SparkSTPM {
   // Phase 2 — distributed mining
   // ------------------------------------------------------------------
 
-  /** E-STPM with the level-2 candidate pair workload fanned out via
-    * `mapPartitions` over a broadcast D_SEQ. Identical results to
-    * [[STPM.mine]] (asserted by the test suite); parallelism defaults to
-    * the cluster's default parallelism.
+  /** E-STPM with the level-2 group tasks fanned out via `mapPartitions`
+    * over a broadcast D_SEQ; levels k >= 3 run on the driver. Identical
+    * results to [[STPM.mine]] (asserted by the test suite); parallelism
+    * defaults to the cluster's default parallelism.
     */
   def mine(spark: SparkSession, db: SeqDB, cfg: STPMConfig,
            parallelism: Int = 0): MiningResult = {
@@ -144,26 +145,19 @@ object SparkSTPM {
     val parts = if (parallelism > 0) parallelism else sc.defaultParallelism
     val bcDb = sc.broadcast(db)
     val bcCfg = sc.broadcast(cfg)
-    val exec: STPM.Level2Exec = (_, _, pairs) => {
-      if (pairs.isEmpty) Vector.empty
-      else {
-        val indexed = pairs.zipWithIndex.map(_.swap)
-        sc.parallelize(indexed, math.min(parts, pairs.size))
-          .mapPartitions { it =>
-            val localCfg = bcCfg.value
-            // One HLH1 per partition, rebuilt from the broadcast database —
-            // the per-partition pruned mining kernel of the repro plan.
-            lazy val hlh1 = HLH1.build(bcDb.value, localCfg.season, localCfg.apriori)
-            it.map { case (idx, (e0, e1, sup)) =>
-              (idx, STPM.minePairData(hlh1, e0, e1, sup, localCfg))
-            }
-          }
-          .collect()
-          .sortBy(_._1)
-          .map(_._2)
-          .toVector
-      }
-    }
+    val exec: STPM.Level2Exec = tasks =>
+      if (tasks.isEmpty) Vector.empty
+      else sc.parallelize(tasks, math.min(parts, tasks.size))
+        .mapPartitions { it =>
+          val localCfg = bcCfg.value
+          // One HLH1 and its level-1 view per partition, rebuilt from the
+          // broadcast database; each task runs the same kernel as locally.
+          lazy val hlh1 = HLH1.build(bcDb.value, localCfg.season, localCfg.apriori)
+          lazy val level1 = HLHk.level1(hlh1)
+          it.map(STPM.mineGroup(hlh1, level1, _, localCfg))
+        }
+        .collect() // partitions are contiguous slices: input order is kept
+        .toVector
     try STPM.mineFiltered(db, cfg, None, None, Some(exec))
     finally { bcDb.destroy(); bcCfg.destroy() }
   }

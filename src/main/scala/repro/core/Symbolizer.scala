@@ -20,11 +20,23 @@ object Symbolizer {
       case Seq(a, b) => a < b
       case _         => true
     }, "cut points must be non-empty and strictly ascending")
-    values.map { v =>
-      var i = 0
-      while (i < cuts.size && v >= cuts(i)) i += 1
-      i.toString
+    var pos = 0
+    values.map { v => pos += 1; symbolOf(v, cuts, pos) }
+  }
+
+  /** The symbol of one raw value: the number of ascending `cuts` at or
+    * below it. A NaN value has no symbol and is rejected with an
+    * `IllegalArgumentException` naming its position (1-based) and, when
+    * given, its series.
+    */
+  def symbolOf(value: Double, cuts: Vector[Double], pos: Int, series: String = ""): String = {
+    if (value.isNaN) {
+      val at = if (series.isEmpty) s"position $pos" else s"series $series, position $pos"
+      throw new IllegalArgumentException(s"NaN value at $at has no symbol")
     }
+    var i = 0
+    while (i < cuts.size && value >= cuts(i)) i += 1
+    i.toString
   }
 
   /** Equi-depth cut points for an `alpha`-symbol alphabet (SAX-like, but on

@@ -21,12 +21,12 @@ class APSGrowthSpec extends AnyFunSuite {
   }
 
   test("baseline equals E-STPM on random databases (incl. self-pairs)") {
-    for (seed <- 1L to 6L) {
+    for (seed <- 1L to 6L; maxK <- Seq(3, 4)) {
       val db = randomDb(3, 90, 3, seed)
-      val cfg = STPMConfig(lenient, maxK = 3)
+      val cfg = STPMConfig(lenient, maxK = maxK)
       val exact = STPM.mine(db, cfg)
       val (baseline, _) = APSGrowth.mine(db, cfg)
-      assert(baseline.keys == exact.keys, s"seed=$seed\n" +
+      assert(baseline.keys == exact.keys, s"seed=$seed maxK=$maxK\n" +
         s"  missing=${(exact.keys -- baseline.keys).map(_.render).take(5)}\n" +
         s"  extra=${(baseline.keys -- exact.keys).map(_.render).take(5)}")
     }

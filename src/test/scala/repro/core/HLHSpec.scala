@@ -37,7 +37,7 @@ class HLHSpec extends AnyFunSuite {
     val h1 = HLH1.build(db, cfg, apriori = true)
     assert(h1.entryCount > 0)
     val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
     assert(h2.entryCount > 0)
     assert(h2.groups.nonEmpty && h2.patterns.nonEmpty)
   }
@@ -45,7 +45,7 @@ class HLHSpec extends AnyFunSuite {
   test("HLHk pattern events feed the transitivity filter") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
     val pe = h2.patternEvents
     assert(pe.nonEmpty)
     assert(pe.subsetOf(h1.candidates.toSet))
@@ -55,7 +55,7 @@ class HLHSpec extends AnyFunSuite {
   test("HLHk support lookups") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
     for (p <- h2.patterns) {
       val sup = h2.support(p)
       assert(sup.nonEmpty && sup == sup.sorted)

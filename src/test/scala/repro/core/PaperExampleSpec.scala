@@ -62,13 +62,14 @@ class PaperExampleSpec extends AnyFunSuite {
 
   test("pattern M:1 >= N:1 support — paper's listing modulo the H9 typo") {
     val hlh1 = HLH1.build(db, exampleCfg, apriori = true)
-    val gm = STPM.minePairData(hlh1, ev("M:1"), ev("N:1"),
-      STPM.intersectSorted(supportOf("M:1"), supportOf("N:1")), stpmCfg)
-    val contains = gm.patterns.find(_._1.rels == Vector((Rel.Contains, true)))
+    val task = GroupTask(Vector(ev("M:1")), ev("N:1"),
+      STPM.intersectSorted(supportOf("M:1"), supportOf("N:1")))
+    val gm = STPM.mineGroup(hlh1, HLHk.level1(hlh1), task, stpmCfg)
+    val contains = gm.patterns.find(_.key.rels == Vector((Rel.Contains, true)))
     assert(contains.isDefined)
     // Paper states {1,3,4,5,6} ∪ {10,11,13}; H9 holds identical instances
     // to H5/H10 and must be included under any consistent reading.
-    assert(contains.get._2 == Vector(1, 3, 4, 5, 6, 9, 10, 11, 13))
+    assert(contains.get.support == Vector(1, 3, 4, 5, 6, 9, 10, 11, 13))
   }
 
   test("every frequent pattern's sub-events are candidates (Lemma 2 in action)") {

@@ -29,16 +29,16 @@ class STPMSpec extends AnyFunSuite {
   import TestData._
 
   test("pruning invariance: all four flag combinations agree (soundness)") {
-    for (seed <- 1L to 4L) {
+    for (seed <- 1L to 4L; maxK <- Seq(3, 4)) {
       val db = randomDb(3, 60, 3, seed)
-      val base = STPMConfig(lenient, maxK = 3)
+      val base = STPMConfig(lenient, maxK = maxK)
       val results = for {
         ap <- Seq(true, false)
         tr <- Seq(true, false)
       } yield ((ap, tr), STPM.mine(db, base.copy(apriori = ap, transitivity = tr)).keys)
       val reference = results.head._2
       for (((flags, keys)) <- results.tail)
-        assert(keys == reference, s"seed=$seed flags=$flags diverged:\n" +
+        assert(keys == reference, s"seed=$seed maxK=$maxK flags=$flags diverged:\n" +
           s"  only-in-ref: ${(reference -- keys).map(_.render).take(5)}\n" +
           s"  only-in-run: ${(keys -- reference).map(_.render).take(5)}")
     }
@@ -92,16 +92,16 @@ class STPMSpec extends AnyFunSuite {
 
   test("incremental pattern keys equal direct ofOccurrence computation") {
     val db = randomDb(3, 60, 3, 11L)
-    val cfg = STPMConfig(lenient, maxK = 3)
+    val cfg = STPMConfig(lenient, maxK = 4)
     val hlh1 = HLH1.build(db, cfg.season, apriori = true)
-    var prev: Option[HLHk] = None
-    for (k <- 2 to 3) {
+    var prev = HLHk.level1(hlh1)
+    for (_ <- 2 to 4) {
       val stats = new MiningStats
-      val hlhk = STPM.mineLevel(db, hlh1, prev, k, cfg, stats, None)
+      val hlhk = STPM.mineLevel(hlh1, prev, cfg, stats)
       for (((p, g), occs) <- hlhk.ghk; t <- occs)
         assert(PatternKey.ofOccurrence(p.events, t, cfg.rel) == p,
           s"occurrence $t of ${p.render} at granule $g disagrees")
-      prev = Some(hlhk)
+      prev = hlhk
     }
   }
 

@@ -23,8 +23,19 @@ class SparkSTPMSpec extends SparkSpec {
   private lazy val instDf = SparkSTPM.toInstances(symDf, spec.m).cache()
 
   test("rawDF has one row per (series, pos)") {
+    assert(rawDf.columns.toSeq == Seq("series", "pos", "value"))
     assert(rawDf.count() == spec.nSeries.toLong * spec.fineLength)
     assert(rawDf.select("series").distinct().count() == spec.nSeries)
+  }
+
+  test("symbolize rejects a NaN value, naming its series and position") {
+    val df = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9)), ("B", Vector(0.2, Double.NaN))))
+    val cuts = Map("A" -> Vector(0.5), "B" -> Vector(0.5))
+    val e = intercept[Exception](SparkSTPM.symbolize(df, cuts).collect())
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.isDefined, e)
+    assert(cause.get.getMessage.contains("series B, position 2"), cause.get.getMessage)
   }
 
   test("symbolize matches the local Symbolizer (oracle: threshold count)") {

@@ -17,6 +17,12 @@ class SymbolizerSpec extends AnyFunSuite with PropSupport {
       Vector("0", "1", "1", "2", "2"))
   }
 
+  test("thresholds reject a NaN value, naming its position") {
+    val e = intercept[IllegalArgumentException](
+      Symbolizer.thresholds(Vector(0.2, 0.7, Double.NaN), Vector(0.5)))
+    assert(e.getMessage.contains("position 3"), e.getMessage)
+  }
+
   test("thresholds validate the cut list") {
     intercept[IllegalArgumentException](Symbolizer.thresholds(Vector(1.0), Vector.empty))
     intercept[IllegalArgumentException](Symbolizer.thresholds(Vector(1.0), Vector(2.0, 1.0)))
