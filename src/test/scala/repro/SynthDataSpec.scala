@@ -1,35 +1,15 @@
 package repro
 
+import repro.core.SparkSTPM
 import repro.data.SeasonalGen
 
-/** The provided TPC-H-lite generators plus the paper-specific seasonal
-  * series extension.
-  */
+/** The paper's synthetic seasonal datasets as Spark sees them. */
 class SynthDataSpec extends SparkSpec {
 
-  test("TPC-H-lite generators are deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, sf = 0.001).count()
-    val b = SynthData.lineitem(spark, sf = 0.001).count()
-    assert(a == b && a > 0)
-    assert(SynthData.orders(spark, sf = 0.001).count() > 0)
-    assert(SynthData.customer(spark, sf = 0.001).count() > 0)
-    assert(SynthData.part(spark, sf = 0.001).count() > 0)
-  }
-
-  test("zipf keys are skewed relative to uniform keys") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-      .groupBy("k").count().orderBy(org.apache.spark.sql.functions.desc("count"))
-      .limit(1).collect()(0).getLong(1)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000)
-      .groupBy("k").count().orderBy(org.apache.spark.sql.functions.desc("count"))
-      .limit(1).collect()(0).getLong(1)
-    assert(z > 3 * u, s"zipf top bucket $z not much larger than uniform $u")
-  }
-
   test("seasonalSeries exposes the paper's dataset schema as a DataFrame") {
-    val df = SynthData.seasonalSeries(spark, "SC")
-    assert(df.columns.toSeq == Seq("series", "pos", "value"))
     val spec = SeasonalGen.sc()
+    val df = SparkSTPM.rawDF(spark, SeasonalGen.rawSeries(spec))
+    assert(df.columns.toSeq == Seq("series", "pos", "value"))
     assert(df.count() == spec.nSeries.toLong * spec.fineLength)
   }
 }
