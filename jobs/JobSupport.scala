@@ -9,7 +9,7 @@ import repro.exp.TableResult
   */
 object JobSupport {
   def withSpark[A](name: String)(body: SparkSession => A): A = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -46,12 +46,11 @@ object ASTPM {
       j <- (i + 1) until ids.size
     } {
       val x = syb.series(i); val y = syb.series(j)
-      val minNmi = math.min(MutualInformation.nmi(x, y), MutualInformation.nmi(y, x))
-      val mu = MutualInformation.muForSeriesPair(
-        x, y, db.size, cfg.season.minSeason, cfg.season.minDensity)
+      val t = MutualInformation.joint(x, y)
+      val mu = t.mu(db.size, cfg.season.minSeason, cfg.season.minDensity)
       mus += ((x.id, y.id) -> mu)
-      nmis += ((x.id, y.id) -> minNmi)
-      if (minNmi >= mu) correlated += ((x.id, y.id))
+      nmis += ((x.id, y.id) -> t.minNmi)
+      if (t.minNmi >= mu) correlated += ((x.id, y.id))
     }
     val nmiMillis = (System.nanoTime() - t0) / 1000000L
     val corr = correlated.result()

@@ -6,7 +6,8 @@ package repro.core
 final case class SymbolicSeries(id: String, symbols: Vector[String]) {
   require(symbols.nonEmpty, s"series $id is empty")
   def length: Int = symbols.size
-  def alphabet: Vector[String] = symbols.distinct.sorted
+  lazy val alphabet: Vector[String] = symbols.distinct.sorted
+  private[core] lazy val codes: Array[Int] = symbols.map(alphabet.zipWithIndex.toMap).toArray
 }
 
 /** The symbolic database D_SYB (Def. 3.8): aligned symbolic series. */
@@ -20,72 +21,91 @@ final case class SymbolicDB(series: Vector[SymbolicSeries]) {
     .getOrElse(throw new NoSuchElementException(s"no series $id"))
 }
 
+/** The α_X × α_Y joint symbol counts of an aligned series pair (X, Y),
+  * alphabets sorted: `count(i, j)` is the number of positions where X holds
+  * `xSymbols(i)` and Y holds `ySymbols(j)`. The pair's marginals, H (Eq. 2),
+  * H(X|Y) (Eq. 3), I (Eq. 4), both NMI directions (Eq. 5) and μ (Eq. 14)
+  * all derive from it; the local path and Spark only fill it differently.
+  */
+final class JointCounts(val xSymbols: Vector[String], val ySymbols: Vector[String],
+                        cells: Array[Long]) {
+  import MutualInformation.{log2, muForEventPair}
+  private val ay = ySymbols.size
+  def count(i: Int, j: Int): Long = cells(i * ay + j)
+  private val xCounts = Array.tabulate(xSymbols.size)(i => (0 until ay).map(count(i, _)).sum)
+  private val yCounts = Array.tabulate(ay)(j => xSymbols.indices.map(count(_, j)).sum)
+  val n: Long = xCounts.sum // aligned positions
+  private def p(c: Long): Double = c / n.toDouble
+  def pX: Map[String, Double] = xSymbols.zip(xCounts.map(p)).toMap
+
+  /** Sum of f(p(x, y), p(x), p(y)) over the non-empty cells. */
+  private def sumCells(f: (Double, Double, Double) => Double): Double = {
+    var s = 0.0
+    for (i <- xCounts.indices; j <- yCounts.indices if count(i, j) > 0)
+      s += f(p(count(i, j)), p(xCounts(i)), p(yCounts(j)))
+    s
+  }
+  private def entropy(counts: Array[Long]): Double = -counts.map(c => p(c) * log2(p(c))).sum
+  lazy val hX: Double = entropy(xCounts)
+  lazy val hY: Double = entropy(yCounts)
+  def condEntropy: Double = -sumCells((pxy, _, py) => pxy * log2(pxy / py))
+  lazy val mi: Double = sumCells((pxy, px, py) => pxy * log2(pxy / (px * py)))
+  /** I/H(X), I/H(Y) (0 for a constant normalizer) and their min (Def. 5.4). */
+  def nmiXY: Double = nmi(hX)
+  def nmiYX: Double = nmi(hY)
+  private def nmi(h: Double): Double = if (h <= 0.0) 0.0 else math.max(0.0, mi / h)
+  def minNmi: Double = math.min(nmiXY, nmiYX)
+
+  /** μ: Eq. 14 minimized over all event pairs in both NMI directions
+    * (Sec. V-B "Setting the parameters").
+    */
+  def mu(dseqSize: Int, minSeason: Int, minDensity: Int): Double = {
+    def dir(a: Array[Long], b: Array[Long]): Double = {
+      val lambda1 = p(a.foldLeft(n)(math.min))
+      b.foldLeft(Double.PositiveInfinity)((m, c) =>
+        math.min(m, muForEventPair(lambda1, p(c), dseqSize, minSeason, minDensity)))
+    }
+    math.min(dir(xCounts, yCounts), dir(yCounts, xCounts))
+  }
+}
+
 /** Entropy / mutual information over symbolic series (Sec. V-A) and the
-  * μ threshold of Corollary 1.1 (Eq. 14).
+  * μ threshold of Corollary 1.1 (Eq. 14), all read off [[JointCounts]].
   */
 object MutualInformation {
   private val Ln2 = math.log(2.0)
-  private def log2(x: Double): Double = math.log(x) / Ln2
+  private[core] def log2(x: Double): Double = math.log(x) / Ln2
 
-  /** Empirical symbol probabilities p(x). */
-  def probs(x: SymbolicSeries): Map[String, Double] = {
-    val counts = new java.util.HashMap[String, Array[Long]]()
-    val it = x.symbols.iterator
-    while (it.hasNext) {
-      val s = it.next()
-      val c = counts.get(s)
-      if (c == null) counts.put(s, Array(1L)) else c(0) += 1
-    }
-    val n = x.length.toDouble
-    val b = Map.newBuilder[String, Double]
-    counts.forEach((k, v) => b += (k -> v(0) / n))
-    b.result()
+  /** The joint counts of an aligned pair, in one pass over their codes. */
+  def joint(x: SymbolicSeries, y: SymbolicSeries): JointCounts = {
+    requireAligned(x.id, x.length, y.id, y.length)
+    val ay = y.alphabet.size
+    val cells = new Array[Long](x.alphabet.size * ay)
+    val cx = x.codes; val cy = y.codes
+    for (i <- cx.indices) cells(cx(i) * ay + cy(i)) += 1
+    new JointCounts(x.alphabet, y.alphabet, cells)
   }
 
-  /** Empirical joint probabilities p(x, y) over aligned positions. */
-  def jointProbs(x: SymbolicSeries, y: SymbolicSeries): Map[(String, String), Double] = {
-    require(x.length == y.length, "series must be aligned")
-    val counts = new java.util.HashMap[(String, String), Array[Long]]()
-    var i = 0
-    val n = x.length
-    while (i < n) {
-      val k = (x.symbols(i), y.symbols(i))
-      val c = counts.get(k)
-      if (c == null) counts.put(k, Array(1L)) else c(0) += 1
-      i += 1
-    }
-    val b = Map.newBuilder[(String, String), Double]
-    counts.forEach((k, v) => b += (k -> v(0) / n.toDouble))
-    b.result()
+  /** The joint counts from aggregated (x, y, count) cells, as on Spark. */
+  def joint(cells: Seq[(String, String, Long)]): JointCounts = {
+    val xs = cells.map(_._1).distinct.sorted.toVector
+    val ys = cells.map(_._2).distinct.sorted.toVector
+    val table = new Array[Long](xs.size * ys.size)
+    for ((x, y, c) <- cells) table(xs.indexOf(x) * ys.size + ys.indexOf(y)) += c
+    new JointCounts(xs, ys, table)
   }
 
-  /** Shannon entropy H(X) in bits (Eq. 2). */
-  def entropy(x: SymbolicSeries): Double =
-    -probs(x).values.map(p => if (p > 0) p * log2(p) else 0.0).sum
+  private[core] def requireAligned(x: String, nx: Long, y: String, ny: Long): Unit =
+    require(nx == ny, s"series $x ($nx positions) and $y ($ny positions) are not aligned")
 
-  /** Conditional entropy H(X|Y) in bits (Eq. 3). */
-  def condEntropy(x: SymbolicSeries, y: SymbolicSeries): Double = {
-    val py = probs(y)
-    -jointProbs(x, y).map { case ((_, ys), pxy) =>
-      if (pxy > 0) pxy * log2(pxy / py(ys)) else 0.0
-    }.sum
-  }
-
-  /** Mutual information I(X;Y) in bits (Eq. 4). */
-  def mi(x: SymbolicSeries, y: SymbolicSeries): Double = {
-    val px = probs(x); val py = probs(y)
-    jointProbs(x, y).map { case ((xs, ys), pxy) =>
-      if (pxy > 0) pxy * log2(pxy / (px(xs) * py(ys))) else 0.0
-    }.sum
-  }
-
-  /** Normalized mutual information I(X;Y)/H(X) (Eq. 5). Asymmetric. A
-    * constant X (H = 0) carries no information to reduce → defined as 0.
+  /** p(x), H(X) (Eq. 2), H(X|Y) (Eq. 3), I(X;Y) (Eq. 4) in bits, and the
+    * asymmetric NMI I(X;Y)/H(X) (Eq. 5) — 0 for a constant X.
     */
-  def nmi(x: SymbolicSeries, y: SymbolicSeries): Double = {
-    val h = entropy(x)
-    if (h <= 0.0) 0.0 else math.max(0.0, mi(x, y) / h)
-  }
+  def probs(x: SymbolicSeries): Map[String, Double] = joint(x, x).pX
+  def entropy(x: SymbolicSeries): Double = joint(x, x).hX
+  def condEntropy(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).condEntropy
+  def mi(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).mi
+  def nmi(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).nmiXY
 
   /** μ for one event pair (X1 ∈ X_S, Y1 ∈ Y_S) (Eq. 14, appendix form):
     * λ1 = min symbol probability of X_S, λ2 = p(Y1).
@@ -114,18 +134,10 @@ object MutualInformation {
     }
   }
 
-  /** μ for a series pair: the minimum over all event pairs in both NMI
-    * directions (Sec. V-B "Setting the parameters").
-    */
+  /** μ for a series pair: [[JointCounts.mu]]. */
   def muForSeriesPair(x: SymbolicSeries, y: SymbolicSeries,
-                      dseqSize: Int, minSeason: Int, minDensity: Int): Double = {
-    def dir(a: SymbolicSeries, b: SymbolicSeries): Double = {
-      val l1 = probs(a).values.min
-      probs(b).values.map(l2 =>
-        muForEventPair(l1, l2, dseqSize, minSeason, minDensity)).min
-    }
-    math.min(dir(x, y), dir(y, x))
-  }
+                      dseqSize: Int, minSeason: Int, minDensity: Int): Double =
+    joint(x, y).mu(dseqSize, minSeason, minDensity)
 
   /** Theorem 1 lower bound on maxSeason(X1, Y1) (Eq. 6), via Lambert W0.
     * Returns None when the W argument falls below −1/e (bound undefined).
@@ -139,5 +151,5 @@ object MutualInformation {
 
   /** Correlation test (Def. 5.4): min of both NMI directions >= μ. */
   def correlated(x: SymbolicSeries, y: SymbolicSeries, mu: Double): Boolean =
-    math.min(nmi(x, y), nmi(y, x)) >= mu
+    joint(x, y).minNmi >= mu
 }

@@ -13,8 +13,8 @@ import org.apache.spark.sql.functions._
   * group tasks are partitioned and mined inside `mapPartitions` against a
   * broadcast D_SEQ, each partition running the same group-mining kernel
   * as the local miner; levels k >= 3 proceed on the driver over the
-  * merged HLH2. MI for A-STPM is computed with Spark SQL aggregations over
-  * D_SYB.
+  * merged HLH2. `nmiMatrix` computes D_SYB's pairwise NMI from joint
+  * symbol counts aggregated with Spark SQL; A-STPM runs its MI stage locally.
   */
 object SparkSTPM {
 
@@ -92,7 +92,7 @@ object SparkSTPM {
   }
 
   // ------------------------------------------------------------------
-  // Spark SQL mutual information (A-STPM's correlation stage)
+  // Joint symbol counts for mutual information (Sec. V-A)
   // ------------------------------------------------------------------
 
   /** Joint symbol counts for every ordered series pair sx < sy:
@@ -107,27 +107,21 @@ object SparkSTPM {
       .agg(count(lit(1)).as("cnt"))
   }
 
-  /** Both NMI directions per series pair from the Spark joint counts.
-    * Key (sx, sy) with sx < sy maps to (nmi(x;y), nmi(y;x)).
+  /** Both NMI directions per series pair, (sx, sy) with sx < sy mapping to
+    * (nmi(x;y), nmi(y;x)): Spark aggregates the counts, [[JointCounts]] does
+    * the math. Series of different lengths are rejected, as locally.
     */
   def nmiMatrix(sym: DataFrame): Map[(String, String), (Double, Double)] = {
-    val rows = jointCounts(sym).collect()
-      .map(r => ((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3)), r.getLong(4)))
-    rows.groupBy(_._1).map { case (pair, cells) =>
-      val total = cells.map(_._3).sum.toDouble
-      val joint = cells.map { case (_, (x, y), c) => ((x, y), c / total) }.toMap
-      val px = joint.groupBy(_._1._1).map { case (x, m) => x -> m.values.sum }
-      val py = joint.groupBy(_._1._2).map { case (y, m) => y -> m.values.sum }
-      def entropy(p: Map[String, Double]) =
-        -p.values.map(v => if (v > 0) v * math.log(v) / math.log(2) else 0.0).sum
-      val mi = joint.map { case ((x, y), pxy) =>
-        if (pxy > 0) pxy * math.log(pxy / (px(x) * py(y))) / math.log(2) else 0.0
-      }.sum
-      val hx = entropy(px); val hy = entropy(py)
-      val fwd = if (hx <= 0) 0.0 else math.max(0.0, mi / hx)
-      val bwd = if (hy <= 0) 0.0 else math.max(0.0, mi / hy)
-      pair -> (fwd, bwd)
-    }
+    val positions = sym.groupBy("series").count().collect()
+      .map(r => (r.getString(0), r.getLong(1))).sorted
+    for ((x, nx) <- positions.headOption; (y, ny) <- positions.find(_._2 != nx))
+      MutualInformation.requireAligned(x, nx, y, ny)
+    jointCounts(sym).collect()
+      .groupBy(r => (r.getString(0), r.getString(1)))
+      .map { case (pair, rows) =>
+        val t = MutualInformation.joint(rows.toSeq.map(r => (r.getString(2), r.getString(3), r.getLong(4))))
+        pair -> (t.nmiXY, t.nmiYX)
+      }
   }
 
   // ------------------------------------------------------------------

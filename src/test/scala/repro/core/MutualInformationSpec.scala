@@ -28,8 +28,10 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   test("joint probs over aligned positions") {
     val x = s("X", "1", "1", "0", "0")
     val y = s("Y", "1", "0", "1", "0")
-    assert(jointProbs(x, y) == Map(
-      ("1", "1") -> 0.25, ("1", "0") -> 0.25, ("0", "1") -> 0.25, ("0", "0") -> 0.25))
+    val t = joint(x, y)
+    assert(t.xSymbols == Vector("0", "1") && t.ySymbols == Vector("0", "1"))
+    assert(t.n == 4)
+    for (i <- 0 to 1; j <- 0 to 1) assert(t.count(i, j) == 1, s"cell ($i, $j)")
   }
 
   test("MI of independent series is 0; of identical series is H (Eq. 4)") {
@@ -48,10 +50,12 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   test("NMI is in [0,1]; identical series give 1; constants give 0 (Eq. 5)") {
     val x = s("X", "1", "1", "0", "0")
     assert(math.abs(nmi(x, x) - 1.0) < Tol)
-    assert(nmi(s("C", "a", "a", "a"), x) == 0.0)
+    assert(nmi(s("C", "a", "a", "a", "a"), x) == 0.0)
     val y = s("Y", "1", "0", "1", "0")
     val v = nmi(x, y)
     assert(v >= 0.0 && v <= 1.0)
+    intercept[IllegalArgumentException](nmi(s("C", "a", "a", "a"), x))
+    intercept[IllegalArgumentException](muForSeriesPair(s("C", "a", "a", "a"), x, 4, 1, 1))
   }
 
   test("NMI is asymmetric when entropies differ") {
@@ -71,6 +75,35 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
       val i = mi(x, y)
       i >= -Tol && i <= math.min(entropy(x), entropy(y)) + Tol
     }, minTests = 50)
+  }
+
+  test("property: the joint-count kernel equals Eqs. 2, 4, 5 and 14 over string-pair frequencies") {
+    // Alphabets of 1-3 symbols drawn from a 4-symbol pool, so pairs include
+    // constant series and symbols that only one series holds.
+    def series(n: Int) = for {
+      k <- Gen.choose(1, 3)
+      alphabet <- Gen.pick(k, Seq("a", "b", "c", "d"))
+      syms <- Gen.listOfN(n, Gen.oneOf(alphabet.toSeq))
+    } yield syms.toVector
+    val pairs = Gen.choose(1, 30).flatMap(n => Gen.zip(series(n), series(n)))
+    val params = Gen.zip(Gen.choose(30, 2000), Gen.choose(1, 4), Gen.choose(1, 4))
+    checkProp(Prop.forAllNoShrink(pairs, params) { case ((xs, ys), (dseq, minSeason, minDensity)) =>
+      val n = xs.size.toDouble
+      def freqs[K](keys: Seq[K]): Map[K, Double] =
+        keys.groupBy(identity).map { case (k, v) => k -> v.size / n }
+      val px = freqs(xs); val py = freqs(ys); val pxy = freqs(xs.zip(ys))
+      def h(p: Map[String, Double]) = -p.values.map(v => v * math.log(v) / math.log(2)).sum
+      val i = pxy.map { case ((a, b), v) => v * math.log(v / (px(a) * py(b))) / math.log(2) }.sum
+      def norm(hv: Double) = if (hv <= 0.0) 0.0 else math.max(0.0, i / hv)
+      def dir(a: Map[String, Double], b: Map[String, Double]) =
+        b.values.map(muForEventPair(a.values.min, _, dseq, minSeason, minDensity)).min
+      val x = SymbolicSeries("X", xs); val y = SymbolicSeries("Y", ys)
+      val t = joint(x, y)
+      math.abs(t.hX - h(px)) < 1e-12 && math.abs(t.hY - h(py)) < 1e-12 &&
+        math.abs(t.mi - i) < 1e-12 &&
+        math.abs(t.nmiXY - norm(h(px))) < 1e-12 && math.abs(t.nmiYX - norm(h(py))) < 1e-12 &&
+        t.mu(dseq, minSeason, minDensity) == math.min(dir(px, py), dir(py, px))
+    }, minTests = 200)
   }
 
   test("muForEventPair: case split at rho = 1/e (Eq. 14)") {
@@ -135,6 +168,6 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   test("symbolic DB alignment is enforced") {
     intercept[IllegalArgumentException](SymbolicDB(Vector(
       s("A", "1", "0"), s("B", "1"))))
-    intercept[IllegalArgumentException](jointProbs(s("A", "1", "0"), s("B", "1")))
+    intercept[IllegalArgumentException](joint(s("A", "1", "0"), s("B", "1")))
   }
 }

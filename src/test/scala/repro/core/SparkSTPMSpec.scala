@@ -116,9 +116,19 @@ class SparkSTPMSpec extends SparkSpec {
     } {
       val x = local.series(i); val y = local.series(j)
       val (fwd, bwd) = matrix((x.id, y.id))
-      assert(math.abs(fwd - MutualInformation.nmi(x, y)) < 1e-9, s"(${x.id},${y.id}) fwd")
-      assert(math.abs(bwd - MutualInformation.nmi(y, x)) < 1e-9, s"(${x.id},${y.id}) bwd")
+      val t = MutualInformation.joint(x, y)
+      assert(fwd == t.nmiXY, s"(${x.id},${y.id}) fwd")
+      assert(bwd == t.nmiYX, s"(${x.id},${y.id}) bwd")
     }
+  }
+
+  test("Spark NMI matrix rejects series of different lengths") {
+    import spark.implicits._
+    val ragged = Seq(("A", 1, "0"), ("A", 2, "1"), ("A", 3, "1"), ("B", 1, "0"), ("B", 2, "1"))
+      .toDF("series", "pos", "symbol")
+    val e = intercept[IllegalArgumentException](SparkSTPM.nmiMatrix(ragged))
+    assert(e.getMessage.contains("A (3 positions)") && e.getMessage.contains("B (2 positions)"),
+      e.getMessage)
   }
 
   test("distributed mining equals the local kernel on the paper example") {
