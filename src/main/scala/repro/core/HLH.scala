@@ -51,59 +51,43 @@ object HLH1 {
   }
 }
 
-/** Value of the k-event hash table EH_k: the group's support set plus the
-  * candidate seasonal patterns formed from the group (Fig. 5).
-  */
-final case class GroupEntry(support: Vector[Int], patterns: Vector[PatternKey])
-
 /** Hierarchical lookup hash structure for k-event groups and patterns
-  * (Sec. IV-D, Fig. 5).
-  *
-  * - `ehk` (k-event hash table): candidate k-event group (canonical sorted
-  *   event vector) → its support set and the candidate patterns it formed.
-  * - `phk` (pattern hash table): candidate pattern → support set.
-  * - `ghk` (pattern granule hash table): (pattern, granule) → occurrence
-  *   instance tuples (aligned to the pattern's slots) from which its
-  *   relations were formed.
+  * (Sec. IV-D, Fig. 5), as one table: `groups` maps each candidate k-event
+  * group (canonical sorted event vector) to the [[GroupMined]] that the
+  * kernel returned for it. That value holds all three levels of Fig. 5:
+  * the group's support set (EH_k), its candidate patterns with their
+  * support sets (PH_k), and each pattern's occurrence instance tuples,
+  * aligned with its support set (GH_k).
   */
 final class HLHk(val k: Int) {
-  val ehk: mutable.LinkedHashMap[Vector[Event], GroupEntry] = mutable.LinkedHashMap.empty
-  val phk: mutable.LinkedHashMap[PatternKey, Vector[Int]] = mutable.LinkedHashMap.empty
-  val ghk: mutable.HashMap[(PatternKey, Int), Vector[Vector[Instance]]] = mutable.HashMap.empty
+  val groups: mutable.LinkedHashMap[Vector[Event], GroupMined] = mutable.LinkedHashMap.empty
 
-  def groups: Vector[Vector[Event]] = ehk.keysIterator.toVector
-  def patterns: Vector[PatternKey] = phk.keysIterator.toVector
-  def support(p: PatternKey): Vector[Int] = phk.getOrElse(p, Vector.empty)
-  def occurrencesAt(p: PatternKey, granule: Int): Vector[Vector[Instance]] =
-    ghk.getOrElse((p, granule), Vector.empty)
+  /** Every group's candidate patterns, group by group in stored order. */
+  def patterns: Iterator[MinedPattern] = groups.valuesIterator.flatMap(_.patterns)
 
-  /** Events participating in any candidate pattern at this level — the
-    * `FilteredF1` source for transitivity pruning (Lemma 4).
+  /** Per group, support size + pattern count; per pattern, support size +
+    * occurrence tuples × k.
     */
-  def patternEvents: Set[Event] = phk.keysIterator.flatMap(_.events).toSet
-
   def entryCount: Long =
-    ehk.valuesIterator.map(g => g.support.size.toLong + g.patterns.size).sum +
-      phk.valuesIterator.map(_.size.toLong).sum +
-      ghk.valuesIterator.map(v => v.size.toLong * math.max(1, k)).sum
+    groups.valuesIterator.map(g => g.sup.size.toLong + g.patterns.size).sum +
+      patterns.map(p => p.support.size + p.occs.iterator.map(_.size.toLong).sum * k).sum
 }
 
 object HLHk {
   /** Level 1 presented as an HLH_k, so that level 2 extends it exactly as
     * level k extends level k-1: group `(e)` of each candidate event, in
-    * canonical order, holds the one pattern `(e)` with e's support set, and
-    * its occurrences at granule g are e's instances there as 1-tuples.
+    * canonical order, holds the one pattern `(e)` with e's support set and,
+    * at each supporting granule, e's instances there as 1-tuples.
     * A view for mining only — it holds nothing HLH1 does not, and the
     * retained-entry count (`MiningStats.peakEntries`) does not include it.
     */
   def level1(hlh1: HLH1): HLHk = {
     val view = new HLHk(1)
     for (e <- hlh1.candidates) {
-      val p = PatternKey.single(e)
       val sup = hlh1.support(e)
-      view.ehk.update(Vector(e), GroupEntry(sup, Vector(p)))
-      view.phk.update(p, sup)
-      for ((g, is) <- hlh1.gh(e)) view.ghk.update((p, g), is.map(Vector(_)))
+      val occs = sup.map(g => hlh1.instancesAt(e, g).map(Vector(_)))
+      view.groups.update(Vector(e),
+        GroupMined(Vector(e), sup, Vector(MinedPattern(PatternKey.single(e), sup, occs)), 0L, 0L))
     }
     view
   }

@@ -68,7 +68,9 @@ final case class MinedPattern(
     occs: Vector[Vector[Vector[Instance]]])
 
 /** Result of mining one k-event group: its support set, its candidate
-  * patterns, and the relation checks and occurrences spent on it.
+  * patterns, and the relation checks and occurrences spent on it. It is
+  * also the group's value in [[HLHk]], stored as returned; the next level
+  * reads its patterns' support sets and occurrences.
   * Serializable — level-2 instances of this travel back from Spark
   * executors (see [[repro.core.SparkSTPM]]).
   */
@@ -127,13 +129,13 @@ object STPM {
       val hlhk = mineLevel(hlh1, prev, cfg, stats,
         pairFilter = if (k == 2) pairFilter else None,
         exec = if (k == 2) level2Exec else None)
-      stats.candidateGroups.update(k, hlhk.ehk.size)
-      stats.candidatePatterns.update(k, hlhk.phk.size)
+      stats.candidateGroups.update(k, hlhk.groups.size)
+      stats.candidatePatterns.update(k, hlhk.patterns.size)
       val prevEntries = if (prev.k > 1) prev.entryCount else 0L // the view holds none
       stats.noteEntries(hlh1.entryCount + prevEntries + hlhk.entryCount)
-      for ((p, sup) <- hlhk.phk; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
-        frequent += FrequentPattern(p, sup, seasons)
-      if (hlhk.phk.nonEmpty) levels(hlhk)
+      for (p <- hlhk.patterns; seasons <- Seasonality.frequentSeasons(p.support, cfg.season))
+        frequent += FrequentPattern(p.key, p.support, seasons)
+      if (hlhk.groups.nonEmpty) levels(hlhk)
     }
     if (cfg.maxK >= 2) levels(HLHk.level1(hlh1))
     MiningResult(frequent.result(), stats)
@@ -156,25 +158,25 @@ object STPM {
     val f1 = hlh1.candidates
     // Transitivity pruning (Lemma 4): from level 3 on, only events
     // appearing in *candidate* (k-1)-patterns may extend a group. When the
-    // Apriori flag is off, phk holds unfiltered patterns — apply the
+    // Apriori flag is off, `prev` holds unfiltered patterns — apply the
     // maxSeason candidacy test here so the transitivity flag stays
     // meaningful on its own (the paper's Trans-only ablation variant).
     val filteredF1 =
       if (k >= 3 && cfg.transitivity) {
-        val pe = prev.phk.iterator
-          .filter { case (_, sup) => Seasonality.isCandidate(sup.size, cfg.season) }
-          .flatMap(_._1.events).toSet
+        val pe = prev.patterns
+          .filter(p => Seasonality.isCandidate(p.support.size, cfg.season))
+          .flatMap(_.key.events).toSet
         f1.filter(pe.contains)
       } else f1
     def eachTask(f: GroupTask => Unit): Unit = for {
-      (group, entry) <- prev.ehk
+      (group, gm) <- prev.groups
       ek <- filteredF1
       // Canonical extension only; ek == group.last repeats an event (at
       // level 2, the self-pairs).
       if Event.ordering.gteq(ek, group.last)
       if pairFilter.forall(pf => pf(group.last.series, ek.series))
     } {
-      val sup = intersectSorted(entry.support, hlh1.support(ek))
+      val sup = intersectSorted(gm.sup, hlh1.support(ek))
       if (admitted(sup.size, cfg)) f(GroupTask(group, ek, sup))
     }
 
@@ -182,13 +184,7 @@ object STPM {
     def store(gm: GroupMined): Unit = {
       stats.relationChecks += gm.checks
       stats.occurrences += gm.occurrences
-      if (gm.patterns.nonEmpty) {
-        hlhk.ehk.update(gm.group, GroupEntry(gm.sup, gm.patterns.map(_.key)))
-        for (mp <- gm.patterns) {
-          hlhk.phk.update(mp.key, mp.support)
-          for ((g, occs) <- mp.support.lazyZip(mp.occs)) hlhk.ghk.update((mp.key, g), occs)
-        }
-      }
+      if (gm.patterns.nonEmpty) hlhk.groups.update(gm.group, gm)
     }
     exec match {
       case Some(run) =>
@@ -227,43 +223,47 @@ object STPM {
     val k = newGroup.size
     val iterative = cfg.transitivity && k >= 3
     val dupOfLast = ek == group.last
-    val parentPatterns = prev.ehk(group).patterns.map(p => (p, prev.support(p)))
+    val parentPatterns = prev.groups(group).patterns
     val perPattern = mutable.LinkedHashMap.empty[PatternKey,
       (mutable.ArrayBuffer[Int], mutable.ArrayBuffer[mutable.ArrayBuffer[Vector[Instance]]])]
     var checks = 0L
     var occurrences = 0L
-    for (g <- sup; (p, pSup) <- parentPatterns if containsSorted(pSup, g)) {
-      val eks = hlh1.instancesAt(ek, g)
-      for {
-        parent <- prev.occurrencesAt(p, g)
-        ei <- eks
-        if !parent.contains(ei)
-        // For a duplicated trailing event keep instance tuples canonical
-        // (ascending) so each unordered combination appears once.
-        if !dupOfLast || Instance.ordering.lt(parent.last, ei)
-      } {
-        var rels = p.rels
-        var ok = true
-        var s = 0
-        while (ok && s < parent.size) {
-          checks += 1
-          val a = parent(s)
-          val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
-          ok = !iterative || pairIsCandidate(k, prev, hlh1, first, second, rel, cfg)
-          // Same-event slot pairs canonicalize to flag = true (relations
-          // are between events; instance order carries no identity).
-          rels = rels :+ ((rel, a.event == ei.event || first == a))
-          s += 1
-        }
-        if (ok) {
-          val key = PatternKey(newGroup, rels)
-          val (keySup, keyOccs) = perPattern.getOrElseUpdate(key,
-            (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
-          if (keySup.isEmpty || keySup.last != g) {
-            keySup += g; keyOccs += mutable.ArrayBuffer.empty
+    for (g <- sup; p <- parentPatterns) {
+      // The parent pattern's occurrences at g, by g's index in its support.
+      val at = indexOfSorted(p.support, g)
+      if (at >= 0) {
+        val eks = hlh1.instancesAt(ek, g)
+        for {
+          parent <- p.occs(at)
+          ei <- eks
+          if !parent.contains(ei)
+          // For a duplicated trailing event keep instance tuples canonical
+          // (ascending) so each unordered combination appears once.
+          if !dupOfLast || Instance.ordering.lt(parent.last, ei)
+        } {
+          var rels = p.key.rels
+          var ok = true
+          var s = 0
+          while (ok && s < parent.size) {
+            checks += 1
+            val a = parent(s)
+            val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
+            ok = !iterative || pairIsCandidate(k, prev, hlh1, first, second, rel, cfg)
+            // Same-event slot pairs canonicalize to flag = true (relations
+            // are between events; instance order carries no identity).
+            rels = rels :+ ((rel, a.event == ei.event || first == a))
+            s += 1
           }
-          keyOccs.last += (parent :+ ei)
-          occurrences += 1
+          if (ok) {
+            val key = PatternKey(newGroup, rels)
+            val (keySup, keyOccs) = perPattern.getOrElseUpdate(key,
+              (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
+            if (keySup.isEmpty || keySup.last != g) {
+              keySup += g; keyOccs += mutable.ArrayBuffer.empty
+            }
+            keyOccs.last += (parent :+ ei)
+            occurrences += 1
+          }
         }
       }
     }
@@ -290,11 +290,12 @@ object STPM {
     if (k == 3) {
       // Orientation flag: which slot held the chronologically first
       // instance; self-pairs are always stored with flag = true. The
-      // triple must exist as a *candidate* 2-pattern — under apriori = off
-      // phk is unfiltered, so candidacy is re-checked on its support.
-      val flag = first.event == second.event || first.event == e0
-      val key = PatternKey(Vector(e0, e1), Vector((rel, flag)))
-      prev.phk.get(key).exists(sup => Seasonality.isCandidate(sup.size, cfg.season))
+      // triple must exist as a *candidate* 2-pattern of group (e0, e1) —
+      // under apriori = off the stored level-2 patterns are unfiltered, so
+      // candidacy is re-checked on their support.
+      val triple = (rel, first.event == second.event || first.event == e0)
+      prev.groups.get(Vector(e0, e1)).exists(_.patterns.exists(p =>
+        p.key.rels.head == triple && Seasonality.isCandidate(p.support.size, cfg.season)))
     } else {
       // Deeper levels: group-level candidate test (cheaper, still sound).
       val sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
@@ -315,15 +316,16 @@ object STPM {
     out.result()
   }
 
-  private[repro] def containsSorted(v: Vector[Int], x: Int): Boolean = {
+  /** Binary search: the index of `x` in the sorted vector `v`, or -1. */
+  private[repro] def indexOfSorted(v: Vector[Int], x: Int): Int = {
     var lo = 0; var hi = v.size - 1
     while (lo <= hi) {
       val mid = (lo + hi) >>> 1
       val m = v(mid)
-      if (m == x) return true
+      if (m == x) return mid
       else if (m < x) lo = mid + 1
       else hi = mid - 1
     }
-    false
+    -1
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -66,13 +66,19 @@ object SparkSTPM {
       .drop("runId")
   }
 
-  /** Materialize the instance frame into the local mining model. */
+  /** Materialize the instance frame into the local mining model. Series of
+    * different lengths (a series' length is its last instance's end) are
+    * rejected, as by the local [[SymbolicDB]].
+    */
   def collectSeqDB(instances: DataFrame, m: Int): SeqDB = {
     val collected = instances
       .select("granule", "series", "symbol", "start", "end")
       .collect()
       .map(r => (r.getInt(0),
         Instance(Event(r.getString(1), r.getString(2)), Interval(r.getInt(3), r.getInt(4)))))
+    val lengths = collected.groupMapReduce(_._2.event.series)(_._2.interval.end)(math.max).toVector.sorted
+    for ((x, nx) <- lengths.headOption; (y, ny) <- lengths.find(_._2 != nx))
+      MutualInformation.requireAligned(x, nx, y, ny)
     val byGranule = collected.groupBy(_._1)
     val n = if (byGranule.isEmpty) 0 else byGranule.keys.max
     val rows = (1 to n).toVector.map { g =>

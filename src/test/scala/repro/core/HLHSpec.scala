@@ -42,25 +42,24 @@ class HLHSpec extends AnyFunSuite {
     assert(h2.groups.nonEmpty && h2.patterns.nonEmpty)
   }
 
-  test("HLHk pattern events feed the transitivity filter") {
-    val h1 = HLH1.build(db, cfg, apriori = true)
-    val stats = new MiningStats
-    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
-    val pe = h2.patternEvents
-    assert(pe.nonEmpty)
-    assert(pe.subsetOf(h1.candidates.toSet))
-    for (p <- h2.patterns; e <- p.events) assert(pe.contains(e))
-  }
-
   test("HLHk support lookups") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     val stats = new MiningStats
     val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
-    for (p <- h2.patterns) {
-      val sup = h2.support(p)
-      assert(sup.nonEmpty && sup == sup.sorted)
-      for (g <- sup) assert(h2.occurrencesAt(p, g).nonEmpty)
+    for ((group, gm) <- h2.groups; p <- gm.patterns) {
+      assert(p.key.events == group)
+      assert(p.support.nonEmpty && p.support == p.support.sorted)
+      assert(p.occs.size == p.support.size && p.occs.forall(_.nonEmpty))
     }
-    assert(h2.support(PatternKey.single(Event("Z", "1"))).isEmpty)
+    assert(!h2.groups.contains(Vector(Event("Z", "1"))))
+  }
+
+  test("mining counters on the paper's running example") {
+    val s = STPM.mine(db, Fixtures.stpmCfg.copy(maxK = 3)).stats
+    assert(s.candidateGroups.toMap == Map(2 -> 16, 3 -> 7))
+    assert(s.candidatePatterns.toMap == Map(2 -> 16, 3 -> 7))
+    assert(s.relationChecks == 549)
+    assert(s.occurrences == 295)
+    assert(s.peakEntries == 949)
   }
 }

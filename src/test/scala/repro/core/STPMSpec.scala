@@ -98,9 +98,9 @@ class STPMSpec extends AnyFunSuite {
     for (_ <- 2 to 4) {
       val stats = new MiningStats
       val hlhk = STPM.mineLevel(hlh1, prev, cfg, stats)
-      for (((p, g), occs) <- hlhk.ghk; t <- occs)
-        assert(PatternKey.ofOccurrence(p.events, t, cfg.rel) == p,
-          s"occurrence $t of ${p.render} at granule $g disagrees")
+      for (p <- hlhk.patterns; (g, occs) <- p.support.zip(p.occs); t <- occs)
+        assert(PatternKey.ofOccurrence(p.key.events, t, cfg.rel) == p.key,
+          s"occurrence $t of ${p.key.render} at granule $g disagrees")
       prev = hlhk
     }
   }
@@ -137,11 +137,13 @@ class STPMSpec extends AnyFunSuite {
     }
   }
 
-  test("intersectSorted and containsSorted basics") {
+  test("intersectSorted and indexOfSorted basics") {
     assert(STPM.intersectSorted(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
     assert(STPM.intersectSorted(Vector.empty, Vector(1)) == Vector.empty)
-    assert(STPM.containsSorted(Vector(1, 3, 5), 3))
-    assert(!STPM.containsSorted(Vector(1, 3, 5), 4))
-    assert(!STPM.containsSorted(Vector.empty, 1))
+    assert(STPM.indexOfSorted(Vector(1, 3, 5), 3) == 1)
+    assert(STPM.indexOfSorted(Vector(1, 3, 5), 1) == 0)
+    assert(STPM.indexOfSorted(Vector(1, 3, 5), 5) == 2)
+    assert(STPM.indexOfSorted(Vector(1, 3, 5), 4) == -1)
+    assert(STPM.indexOfSorted(Vector.empty, 1) == -1)
   }
 }

@@ -131,6 +131,15 @@ class SparkSTPMSpec extends SparkSpec {
       e.getMessage)
   }
 
+  test("Spark Phase 1 rejects series of different lengths") {
+    val raw = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9, 0.2)), ("B", Vector(0.2, 0.8))))
+    val sym = SparkSTPM.symbolize(raw, Map("A" -> Vector(0.5), "B" -> Vector(0.5)))
+    val e = intercept[IllegalArgumentException](
+      SparkSTPM.collectSeqDB(SparkSTPM.toInstances(sym, 1), 1))
+    assert(e.getMessage.contains("A (3 positions)") && e.getMessage.contains("B (2 positions)"),
+      e.getMessage)
+  }
+
   test("distributed mining equals the local kernel on the paper example") {
     val db = Fixtures.tableIV
     val cfg = Fixtures.stpmCfg.copy(maxK = 3)

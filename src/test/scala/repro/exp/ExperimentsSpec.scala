@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core._
 import repro.data.SeasonalGen
 
 class ExperimentsSpec extends AnyFunSuite {
