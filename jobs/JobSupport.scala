@@ -12,7 +12,6 @@ object JobSupport {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try body(spark) finally spark.stop()
   }

@@ -25,7 +25,7 @@ final case class SymbolicDB(series: Vector[SymbolicSeries]) {
   * alphabets sorted: `count(i, j)` is the number of positions where X holds
   * `xSymbols(i)` and Y holds `ySymbols(j)`. The pair's marginals, H (Eq. 2),
   * H(X|Y) (Eq. 3), I (Eq. 4), both NMI directions (Eq. 5) and μ (Eq. 14)
-  * all derive from it; the local path and Spark only fill it differently.
+  * all derive from it. [[MutualInformation.joint]] fills it.
   */
 final class JointCounts(val xSymbols: Vector[String], val ySymbols: Vector[String],
                         cells: Array[Long]) {
@@ -84,15 +84,6 @@ object MutualInformation {
     val cx = x.codes; val cy = y.codes
     for (i <- cx.indices) cells(cx(i) * ay + cy(i)) += 1
     new JointCounts(x.alphabet, y.alphabet, cells)
-  }
-
-  /** The joint counts from aggregated (x, y, count) cells, as on Spark. */
-  def joint(cells: Seq[(String, String, Long)]): JointCounts = {
-    val xs = cells.map(_._1).distinct.sorted.toVector
-    val ys = cells.map(_._2).distinct.sorted.toVector
-    val table = new Array[Long](xs.size * ys.size)
-    for ((x, y, c) <- cells) table(xs.indexOf(x) * ys.size + ys.indexOf(y)) += c
-    new JointCounts(xs, ys, table)
   }
 
   private[core] def requireAligned(x: String, nx: Long, y: String, ny: Long): Unit =

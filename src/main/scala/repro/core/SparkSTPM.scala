@@ -13,8 +13,7 @@ import org.apache.spark.sql.functions._
   * group tasks are partitioned and mined inside `mapPartitions` against a
   * broadcast D_SEQ, each partition running the same group-mining kernel
   * as the local miner; levels k >= 3 proceed on the driver over the
-  * merged HLH2. `nmiMatrix` computes D_SYB's pairwise NMI from joint
-  * symbol counts aggregated with Spark SQL; A-STPM runs its MI stage locally.
+  * merged HLH2. A-STPM's MI stage runs locally ([[ASTPM]]).
   */
 object SparkSTPM {
 
@@ -87,49 +86,6 @@ object SparkSTPM {
     SeqDB(m, rows)
   }
 
-  /** Materialize a symbolic frame into the local D_SYB model. */
-  def collectSymbolicDB(sym: DataFrame): SymbolicDB = {
-    val bySeries = sym.select("series", "pos", "symbol").collect()
-      .map(r => (r.getString(0), r.getInt(1), r.getString(2)))
-      .groupBy(_._1)
-    SymbolicDB(bySeries.toVector.sortBy(_._1).map { case (id, rows) =>
-      SymbolicSeries(id, rows.sortBy(_._2).map(_._3).toVector)
-    })
-  }
-
-  // ------------------------------------------------------------------
-  // Joint symbol counts for mutual information (Sec. V-A)
-  // ------------------------------------------------------------------
-
-  /** Joint symbol counts for every ordered series pair sx < sy:
-    * (sx, sy, x, y, cnt) — the sufficient statistics for NMI.
-    */
-  def jointCounts(sym: DataFrame): DataFrame = {
-    val a = sym.select(col("series").as("sx"), col("pos").as("posx"), col("symbol").as("x"))
-    val b = sym.select(col("series").as("sy"), col("pos").as("posy"), col("symbol").as("y"))
-    a.join(b, col("posx") === col("posy"))
-      .where(col("sx") < col("sy"))
-      .groupBy("sx", "sy", "x", "y")
-      .agg(count(lit(1)).as("cnt"))
-  }
-
-  /** Both NMI directions per series pair, (sx, sy) with sx < sy mapping to
-    * (nmi(x;y), nmi(y;x)): Spark aggregates the counts, [[JointCounts]] does
-    * the math. Series of different lengths are rejected, as locally.
-    */
-  def nmiMatrix(sym: DataFrame): Map[(String, String), (Double, Double)] = {
-    val positions = sym.groupBy("series").count().collect()
-      .map(r => (r.getString(0), r.getLong(1))).sorted
-    for ((x, nx) <- positions.headOption; (y, ny) <- positions.find(_._2 != nx))
-      MutualInformation.requireAligned(x, nx, y, ny)
-    jointCounts(sym).collect()
-      .groupBy(r => (r.getString(0), r.getString(1)))
-      .map { case (pair, rows) =>
-        val t = MutualInformation.joint(rows.toSeq.map(r => (r.getString(2), r.getString(3), r.getLong(4))))
-        pair -> (t.nmiXY, t.nmiYX)
-      }
-  }
-
   // ------------------------------------------------------------------
   // Phase 2 — distributed mining
   // ------------------------------------------------------------------
@@ -144,21 +100,19 @@ object SparkSTPM {
     val sc = spark.sparkContext
     val parts = if (parallelism > 0) parallelism else sc.defaultParallelism
     val bcDb = sc.broadcast(db)
-    val bcCfg = sc.broadcast(cfg)
     val exec: STPM.Level2Exec = tasks =>
       if (tasks.isEmpty) Vector.empty
       else sc.parallelize(tasks, math.min(parts, tasks.size))
         .mapPartitions { it =>
-          val localCfg = bcCfg.value
           // One HLH1 and its level-1 view per partition, rebuilt from the
           // broadcast database; each task runs the same kernel as locally.
-          lazy val hlh1 = HLH1.build(bcDb.value, localCfg.season, localCfg.apriori)
+          lazy val hlh1 = HLH1.build(bcDb.value, cfg.season, cfg.apriori)
           lazy val level1 = HLHk.level1(hlh1)
-          it.map(STPM.mineGroup(hlh1, level1, _, localCfg))
+          it.map(STPM.mineGroup(hlh1, level1, _, cfg))
         }
         .collect() // partitions are contiguous slices: input order is kept
         .toVector
     try STPM.mineFiltered(db, cfg, None, None, Some(exec))
-    finally { bcDb.destroy(); bcCfg.destroy() }
+    finally bcDb.destroy()
   }
 }

@@ -41,7 +41,7 @@ object Symbolizer {
 
   /** Equi-depth cut points for an `alpha`-symbol alphabet (SAX-like, but on
     * the empirical distribution rather than a Gaussian assumption — exact
-    * and deterministic, which the DuckDB oracle requires).
+    * and deterministic).
     */
   def quantileCuts(values: Vector[Double], alpha: Int): Vector[Double] = {
     require(alpha >= 2, "alphabet size must be >= 2")

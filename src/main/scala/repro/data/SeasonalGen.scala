@@ -47,7 +47,6 @@ object SeasonalGen {
     require(window < period, "window must be shorter than period")
     /** Distance between consecutive fully-dense seasons (Def. 3.16). */
     def seasonDistance: Int = period - window + 1
-    def seasonsIn(nCoarse: Int): Int = (nCoarse - phase + period - 1) / period
   }
 
   /** A full dataset specification.

@@ -178,15 +178,10 @@ object Experiments {
   // ------------------------------------------------------------------
   // Figs. 7–10 as a table — runtime & memory comparison
   // ------------------------------------------------------------------
-  private def timedMb[A](body: => A): (A, Long, Double) = {
-    val rt = Runtime.getRuntime
-    System.gc()
-    val before = rt.totalMemory() - rt.freeMemory()
+  private def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a = body
-    val ms = (System.nanoTime() - t0) / 1000000L
-    val after = rt.totalMemory() - rt.freeMemory()
-    (a, ms, math.max(0.0, (after - before) / 1048576.0))
+    (a, (System.nanoTime() - t0) / 1000000L)
   }
 
   def runtimeMemory(names: Seq[String] = Seq("RE", "INF"),
@@ -198,24 +193,23 @@ object Experiments {
     } yield {
       val (syb, db) = datasetOf(n)
       val cfg = STPMConfig(cfgOf(db.size, n, 0.4, 0.75, ms), maxK = maxK)
-      val (a, aMs, aMb) = timedMb(ASTPM.mine(syb, db, cfg))
-      val (e, eMs, eMb) = timedMb(STPM.mine(db, cfg))
-      val (b, bMs, bMb) = timedMb(APSGrowth.mine(db, cfg))
+      val (a, aMs) = timed(ASTPM.mine(syb, db, cfg))
+      val (e, eMs) = timed(STPM.mine(db, cfg))
+      val (b, bMs) = timed(APSGrowth.mine(db, cfg))
       Vector(n, ms.toString,
         aMs.toString, s"${a.nmiMillis}", eMs.toString, bMs.toString,
         a.mining.stats.peakEntries.toString, e.stats.peakEntries.toString,
         b._1.stats.peakEntries.toString,
-        pct(aMb), pct(eMb), pct(bMb),
         a.mining.frequent.size.toString, e.frequent.size.toString,
         b._1.frequent.size.toString)
     }
-    TableResult(s"Figs. 7-10 analog — runtime (ms) & memory (entries / ~MB), " +
+    TableResult(s"Figs. 7-10 analog — runtime (ms) & memory (retained entries), " +
       s"maxPeriod=0.4%, minDensity=0.75%, maxK=$maxK",
       Vector("dataset", "minSeason", "A-STPM ms", "(MI ms)", "E-STPM ms",
         "APS-growth ms", "A entries", "E entries", "APS entries",
-        "A ~MB", "E ~MB", "APS ~MB", "A #pat", "E #pat", "APS #pat"),
+        "A #pat", "E #pat", "APS #pat"),
       rows,
-      Vector("APS-growth entries = PS-tree nodes built; heap MB is a coarse GC-based estimate"))
+      Vector("APS-growth entries = PS-tree nodes built"))
   }
 
   // ------------------------------------------------------------------
@@ -232,7 +226,7 @@ object Experiments {
       val season = cfgOf(db.size, base, 0.4, 0.75, ms)
       val cells = variants.toVector.flatMap { case (_, ap, tr) =>
         val cfg = STPMConfig(season, maxK = maxK, apriori = ap, transitivity = tr)
-        val (r, msTime, _) = timedMb(STPM.mine(db, cfg))
+        val (r, msTime) = timed(STPM.mine(db, cfg))
         Vector(msTime.toString, r.stats.relationChecks.toString)
       }
       Vector(ms.toString) ++ cells

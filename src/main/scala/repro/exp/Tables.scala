@@ -22,6 +22,5 @@ final case class TableResult(
 }
 
 object TableResult {
-  def fmt(d: Double): String = f"$d%.2f"
   def pct(d: Double): String = f"$d%.1f"
 }

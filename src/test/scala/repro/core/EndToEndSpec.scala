@@ -5,8 +5,8 @@ import repro.data.SeasonalGen
 import repro.exp.Experiments
 
 /** Full-pipeline integration: raw values → Spark Phase 1 → distributed
-  * mining → A-STPM, on a generated preset, cross-checked against the
-  * all-local path at every stage.
+  * mining, on a generated preset, cross-checked against the all-local path
+  * at every stage.
   */
 class EndToEndSpec extends SparkSpec {
 
@@ -35,27 +35,5 @@ class EndToEndSpec extends SparkSpec {
     assert(res.keys.contains(planted),
       res.frequent.map(_.key.render).mkString(", "))
     assert(res.keys == STPM.mine(db, cfg).keys)
-  }
-
-  test("A-STPM over Spark-computed NMI equals A-STPM over local NMI") {
-    val (syb, db) = SeasonalGen.dataset(spec)
-    val symDf = SparkSTPM.symbolize(SparkSTPM.rawDF(spark, raw), cuts)
-    val matrix = SparkSTPM.nmiMatrix(symDf)
-    // Decide correlation from the Spark matrix, then compare with the
-    // local A-STPM's correlated pair set.
-    val cfg = STPMConfig(Experiments.cfgOf(db.size, "INF", 0.4, 0.75, 4), maxK = 2)
-    val local = ASTPM.mine(syb, db, cfg)
-    for {
-      i <- syb.series.indices
-      j <- (i + 1) until syb.series.size
-    } {
-      val x = syb.series(i); val y = syb.series(j)
-      val (fwd, bwd) = matrix((x.id, y.id))
-      val mu = MutualInformation.muForSeriesPair(x, y, db.size,
-        cfg.season.minSeason, cfg.season.minDensity)
-      val sparkCorr = math.min(fwd, bwd) >= mu
-      val localCorr = local.correlatedPairs.contains((x.id, y.id))
-      assert(sparkCorr == localCorr, s"(${x.id},${y.id})")
-    }
   }
 }

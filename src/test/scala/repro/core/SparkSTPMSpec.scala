@@ -5,8 +5,8 @@ import repro.{Oracle, SparkSpec}
 import repro.data.SeasonalGen
 
 /** Spark Phase-1 pipeline and distributed mining, cross-checked against the
-  * local kernel and (for every DataFrame-producing step) against DuckDB via
-  * the Oracle.
+  * local kernel and (symbol histogram, run-length encoding) against DuckDB
+  * via the Oracle.
   */
 class SparkSTPMSpec extends SparkSpec {
 
@@ -89,48 +89,6 @@ class SparkSTPMSpec extends SparkSpec {
       assert(a == b, s"granule ${b.pos} differs")
   }
 
-  test("collectSymbolicDB equals the local symbolic database") {
-    val local = SeasonalGen.symbolic(spec)
-    val viaSpark = SparkSTPM.collectSymbolicDB(symDf)
-    assert(viaSpark == local)
-  }
-
-  test("oracle: MI joint counts match DuckDB") {
-    val jc = SparkSTPM.jointCounts(symDf)
-    val sql =
-      """
-      SELECT a.series AS sx, b.series AS sy, a.symbol AS x, b.symbol AS y,
-             COUNT(*) AS cnt
-      FROM sym a JOIN sym b ON a.pos = b.pos AND a.series < b.series
-      GROUP BY a.series, b.series, a.symbol, b.symbol
-      """
-    Oracle.assertEquivalent(jc, sql, "sym" -> symDf)
-  }
-
-  test("Spark NMI matrix equals the local MutualInformation") {
-    val local = SeasonalGen.symbolic(spec)
-    val matrix = SparkSTPM.nmiMatrix(symDf)
-    for {
-      i <- local.series.indices
-      j <- (i + 1) until local.series.size
-    } {
-      val x = local.series(i); val y = local.series(j)
-      val (fwd, bwd) = matrix((x.id, y.id))
-      val t = MutualInformation.joint(x, y)
-      assert(fwd == t.nmiXY, s"(${x.id},${y.id}) fwd")
-      assert(bwd == t.nmiYX, s"(${x.id},${y.id}) bwd")
-    }
-  }
-
-  test("Spark NMI matrix rejects series of different lengths") {
-    import spark.implicits._
-    val ragged = Seq(("A", 1, "0"), ("A", 2, "1"), ("A", 3, "1"), ("B", 1, "0"), ("B", 2, "1"))
-      .toDF("series", "pos", "symbol")
-    val e = intercept[IllegalArgumentException](SparkSTPM.nmiMatrix(ragged))
-    assert(e.getMessage.contains("A (3 positions)") && e.getMessage.contains("B (2 positions)"),
-      e.getMessage)
-  }
-
   test("Spark Phase 1 rejects series of different lengths") {
     val raw = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9, 0.2)), ("B", Vector(0.2, 0.8))))
     val sym = SparkSTPM.symbolize(raw, Map("A" -> Vector(0.5), "B" -> Vector(0.5)))
@@ -150,6 +108,15 @@ class SparkSTPMSpec extends SparkSpec {
     for (p <- dist.frequent) {
       assert(p.support == localByKey(p.key).support)
       assert(p.seasons == localByKey(p.key).seasons)
+    }
+  }
+
+  test("an input with no level-2 task mines to nothing, locally and on Spark") {
+    val cfg = Fixtures.stpmCfg.copy(maxK = 3)
+    val noEvent = cfg.copy(season = cfg.season.copy(minSeason = Fixtures.tableIV.size + 1))
+    for ((db, c) <- Seq((SeqDB(1, Vector.empty), cfg), (Fixtures.tableIV, noEvent))) {
+      assert(STPM.mine(db, c).frequent.isEmpty)
+      assert(SparkSTPM.mine(spark, db, c, parallelism = 4).frequent.isEmpty)
     }
   }
 
