@@ -67,7 +67,7 @@ object APSGrowth {
       for (ms <- multisets) {
         multisetsTried += 1
         val mult = ms.groupBy(identity).view.mapValues(_.size).toMap
-        val baseSup = ms.distinct.map(e => supIdx.getOrElse(e, Vector.empty))
+        val baseSup = ms.distinct.map(e => supIdx.getOrElse(e, Vector.empty).toArray)
           .reduce(STPM.intersectSorted)
         val sup = baseSup.filter(g =>
           mult.forall { case (e, m) => instIdx.getOrElse((e, g), Vector.empty).size >= m })

@@ -2,93 +2,92 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Hierarchical lookup hash structure for single events (Sec. IV-C, Fig. 4).
-  *
-  * - `eh` (single event hash table): candidate event → support set (sorted
-  *   granule positions).
-  * - `gh` (event granule hash table): candidate event → granule → its
-  *   instances in that granule.
+/** HLH_k (Sec. IV-D, Fig. 5), integer-encoded, as one table: each candidate
+  * k-event group's [[GroupMined]] in mining order (tasks name a group by its
+  * index), holding the group's support set (EH_k), its candidate patterns
+  * and their support sets (PH_k) and occurrence tuples (GH_k).
   */
-final class HLH1 {
-  val eh: mutable.LinkedHashMap[Event, Vector[Int]] = mutable.LinkedHashMap.empty
-  val gh: mutable.HashMap[Event, Map[Int, Vector[Instance]]] = mutable.HashMap.empty
+class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) {
+  def patterns: Iterator[MinedPattern] = groups.iterator.flatMap(_.patterns)
 
-  /** Candidate events in canonical (sorted) order — group slots and the
-    * Cartesian enumeration depend on this order being stable.
+  /** Stored entries, a machine-independent memory proxy: per group, support
+    * size + pattern count; per pattern, support size + occurrence tuples × k.
     */
-  def candidates: Vector[Event] = eh.keysIterator.toVector.sorted
-  def support(e: Event): Vector[Int] = eh.getOrElse(e, Vector.empty)
-  def instancesAt(e: Event, granule: Int): Vector[Instance] =
-    gh.get(e).flatMap(_.get(granule)).getOrElse(Vector.empty)
-
-  /** Total stored entries — a machine-independent memory proxy. */
   def entryCount: Long =
-    eh.valuesIterator.map(_.size.toLong).sum +
-      gh.valuesIterator.map(_.valuesIterator.map(_.size.toLong).sum).sum
+    groups.iterator.map(g => g.sup.length.toLong + g.patterns.length).sum +
+      patterns.map(p => p.support.length.toLong + p.occ.length).sum
+}
+
+/** HLH_1 (Sec. IV-C, Fig. 4) as a level-1 HLH_k, so that level 2 extends it
+  * as level k extends k-1. Event ids index `candidates`, in [[Event.ordering]].
+  * `granules(g - 1)` holds granule g's candidate instances as (event id,
+  * start, end) triples in [[Instance.ordering]]; an instance is its index
+  * there. Group e holds the pattern `(e)`: e's support set (EH) and its
+  * instances at each supporting granule as 1-tuples (GH).
+  */
+final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]],
+                          groups: IndexedSeq[GroupMined]) extends HLHk(1, groups) {
+  def support(e: Int): Array[Int] = groups(e).sup
+
+  def eh: Map[Event, Vector[Int]] = candidates.zip(groups.map(_.sup.toVector)).toMap
+
+  /** The output key of a pattern of `group` with relation codes `rels`. */
+  def key(group: Array[Int], rels: Array[Byte]): PatternKey =
+    PatternKey.decode(group.toVector.map(candidates), rels)
+
+  /** Per event, support size + instance count. */
+  override def entryCount: Long = groups.iterator.map(g => g.sup.length.toLong + g.patterns(0).occ.length).sum
 }
 
 object HLH1 {
-  /** One scan of D_SEQ building support sets and instance indexes for all
-    * events, then (optionally, Apriori-like pruning) keeping only candidate
-    * seasonal single events: maxSeason(E) >= minSeason.
+  /** One scan of D_SEQ building support sets and instance indexes for the
+    * events `keep` admits, (with Apriori-like pruning) only the candidate
+    * seasonal ones: maxSeason(E) >= minSeason.
     */
-  def build(db: SeqDB, cfg: SeasonCfg, apriori: Boolean): HLH1 = {
-    val sup = mutable.LinkedHashMap.empty[Event, mutable.ArrayBuffer[Int]]
-    val inst = mutable.HashMap.empty[Event, mutable.LinkedHashMap[Int, Vector[Instance]]]
-    for (row <- db.rows) {
-      val byEvent = row.instances.groupBy(_.event)
-      for ((e, is) <- byEvent) {
-        sup.getOrElseUpdate(e, mutable.ArrayBuffer.empty) += row.pos
-        inst.getOrElseUpdate(e, mutable.LinkedHashMap.empty).update(row.pos, is)
+  def build(db: SeqDB, cfg: SeasonCfg, apriori: Boolean, keep: Event => Boolean = _ => true): HLH1 = {
+    val supSize = mutable.HashMap.empty[Event, Int]
+    for (row <- db.rows; e <- row.events) supSize(e) = supSize.getOrElse(e, 0) + 1
+    val candidates = supSize.iterator.collect {
+      case (e, n) if keep(e) && (!apriori || Seasonality.isCandidate(n, cfg)) => e
+    }.toVector.sorted
+    val id = candidates.zipWithIndex.toMap
+    val single = candidates.map(_ => new PatternBuf(Array.emptyByteArray))
+    val granules = db.rows.iterator.map { row =>
+      val flat = new mutable.ArrayBuilder.ofInt
+      for (in <- row.instances; e <- id.get(in.event)) {
+        single(e).add(row.pos, Array.emptyIntArray, 0, 0, flat.length / 3)
+        flat.addOne(e).addOne(in.start).addOne(in.end)
       }
-    }
-    val h = new HLH1
-    for ((e, s) <- sup if !apriori || Seasonality.isCandidate(s.size, cfg)) {
-      h.eh.update(e, s.toVector)
-      h.gh.update(e, inst(e).toMap)
-    }
-    h
+      flat.result()
+    }.toArray
+    new HLH1(candidates, granules, single.indices.map { e =>
+      val p = single(e).result()
+      new GroupMined(Array(e), p.support, Array(p), 0L, 0L)
+    })
   }
 }
 
-/** Hierarchical lookup hash structure for k-event groups and patterns
-  * (Sec. IV-D, Fig. 5), as one table: `groups` maps each candidate k-event
-  * group (canonical sorted event vector) to the [[GroupMined]] that the
-  * kernel returned for it. That value holds all three levels of Fig. 5:
-  * the group's support set (EH_k), its candidate patterns with their
-  * support sets (PH_k), and each pattern's occurrence instance tuples,
-  * aligned with its support set (GH_k).
+/** The support set and occurrence tuples of one pattern, growing while its
+  * group is mined; granules arrive in ascending order. (`addOne`, not `+=`,
+  * which would box each Int.)
   */
-final class HLHk(val k: Int) {
-  val groups: mutable.LinkedHashMap[Vector[Event], GroupMined] = mutable.LinkedHashMap.empty
+private[core] final class PatternBuf(rels: Array[Byte]) {
+  private val sup, occOff, occ = new mutable.ArrayBuilder.ofInt
+  private var last, tuples = 0
 
-  /** Every group's candidate patterns, group by group in stored order. */
-  def patterns: Iterator[MinedPattern] = groups.valuesIterator.flatMap(_.patterns)
+  def supportSize: Int = sup.length
 
-  /** Per group, support size + pattern count; per pattern, support size +
-    * occurrence tuples × k.
-    */
-  def entryCount: Long =
-    groups.valuesIterator.map(g => g.sup.size.toLong + g.patterns.size).sum +
-      patterns.map(p => p.support.size + p.occs.iterator.map(_.size.toLong).sum * k).sum
-}
+  /** Add the tuple `src(from until from + w) :+ i` at granule g >= 1. */
+  def add(g: Int, src: Array[Int], from: Int, w: Int, i: Int): Unit = {
+    if (g != last) { sup.addOne(g); occOff.addOne(tuples); last = g }
+    var s = from
+    while (s < from + w) { occ.addOne(src(s)); s += 1 }
+    occ.addOne(i)
+    tuples += 1
+  }
 
-object HLHk {
-  /** Level 1 presented as an HLH_k, so that level 2 extends it exactly as
-    * level k extends level k-1: group `(e)` of each candidate event, in
-    * canonical order, holds the one pattern `(e)` with e's support set and,
-    * at each supporting granule, e's instances there as 1-tuples.
-    * A view for mining only — it holds nothing HLH1 does not, and the
-    * retained-entry count (`MiningStats.peakEntries`) does not include it.
-    */
-  def level1(hlh1: HLH1): HLHk = {
-    val view = new HLHk(1)
-    for (e <- hlh1.candidates) {
-      val sup = hlh1.support(e)
-      val occs = sup.map(g => hlh1.instancesAt(e, g).map(Vector(_)))
-      view.groups.update(Vector(e),
-        GroupMined(Vector(e), sup, Vector(MinedPattern(PatternKey.single(e), sup, occs)), 0L, 0L))
-    }
-    view
+  def result(): MinedPattern = {
+    occOff.addOne(tuples)
+    new MinedPattern(rels, sup.result(), occOff.result(), occ.result())
   }
 }

@@ -43,6 +43,12 @@ object PatternKey {
 
   def single(e: Event): PatternKey = PatternKey(Vector(e), Vector.empty)
 
+  /** The key of `events` whose slot pairs carry the mining kernel's codes
+    * `rels`: (relation, flag) as `2 * rel.ordinal + (1 if flag)`.
+    */
+  def decode(events: Vector[Event], rels: Array[Byte]): PatternKey =
+    PatternKey(events, rels.iterator.map(c => (Rel.all(c >> 1), (c & 1) == 1)).toVector)
+
   /** Pattern of one occurrence: `tuple` holds one instance per slot of the
     * canonical `events` vector (instances of a duplicated event in
     * ascending order). Produces keys identical to STPM's incremental

@@ -1,17 +1,17 @@
 package repro.core
 
 /** The three temporal relations of Table III (Allen-derived). */
-sealed abstract class Rel(val sigil: String) extends Product with Serializable {
+sealed abstract class Rel(val sigil: String, val ordinal: Int) extends Product with Serializable {
   override def toString: String = sigil
 }
 
 object Rel {
   /** `Ei -> Ej`: Ei ends (within tolerance) before Ej starts. */
-  case object Follows extends Rel("->")
+  case object Follows extends Rel("->", 0)
   /** `Ei >= Ej`: Ei's interval covers Ej's (within tolerance). */
-  case object Contains extends Rel(">=")
+  case object Contains extends Rel(">=", 1)
   /** `Ei ol Ej`: Ei starts first, Ej outlives Ei, shared span >= d_o. */
-  case object Overlaps extends Rel("ol")
+  case object Overlaps extends Rel("ol", 2)
 
   val all: Vector[Rel] = Vector(Follows, Contains, Overlaps)
 
@@ -43,18 +43,18 @@ object Relations {
     require(minOverlap >= 1, "d_o must be >= 1")
   }
 
-  /** Relation between two instances, oriented: `a` must not start after
-    * `b`. Returns the relation holding from `a` to `b`.
+  /** Relation between two intervals, oriented: `[aStart, aEnd]` must not
+    * start after `[bStart, bEnd]`. Returns the relation holding from a to b.
     */
-  def relate(a: Interval, b: Interval, cfg: RelCfg = RelCfg()): Rel = {
-    require(a.start <= b.start, s"relate() requires a to start first: $a vs $b")
-    if (b.end <= a.end + cfg.epsilon) Rel.Contains
-    else {
-      val shared = a.end - b.start + 1
-      if (shared >= math.max(1, cfg.minOverlap - cfg.epsilon)) Rel.Overlaps
-      else Rel.Follows
-    }
+  def relate(aStart: Int, aEnd: Int, bStart: Int, bEnd: Int, cfg: RelCfg): Rel = {
+    require(aStart <= bStart, s"relate() requires a to start first: [$aStart,$aEnd] vs [$bStart,$bEnd]")
+    if (bEnd <= aEnd + cfg.epsilon) Rel.Contains
+    else if (aEnd - bStart + 1 >= math.max(1, cfg.minOverlap - cfg.epsilon)) Rel.Overlaps
+    else Rel.Follows
   }
+
+  def relate(a: Interval, b: Interval, cfg: RelCfg = RelCfg()): Rel =
+    relate(a.start, a.end, b.start, b.end, cfg)
 
   /** Orient two instances and relate them. Orientation follows
     * [[Instance.orientationOrdering]]: earlier start first; on a start tie

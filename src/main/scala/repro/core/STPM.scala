@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.annotation.tailrec
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.core.Relations.RelCfg
 
@@ -18,7 +19,8 @@ final case class STPMConfig(
     maxK: Int = 3,
     apriori: Boolean = true,
     transitivity: Boolean = true) {
-  require(maxK >= 1, "maxK must be >= 1")
+  // The kernel packs a pattern's k-1 new relations base 6 into 32 bits.
+  require(maxK >= 1 && maxK <= 13, "maxK must be in 1..13")
 }
 
 /** A mined frequent seasonal temporal pattern with its evidence. */
@@ -54,32 +56,26 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
   def keys: Set[PatternKey] = frequent.iterator.map(_.key).toSet
 }
 
-/** One group-mining task: extend the (k-1)-event `group` of the previous
-  * level by event `ek`; `sup` is the k-event group's support set.
+/** One group-mining task: extend the previous level's group number `parent`
+  * by event id `ek`; `sup` is the new group's support set.
   */
-final case class GroupTask(group: Vector[Event], ek: Event, sup: Vector[Int])
+final class GroupTask(val parent: Int, val ek: Int, val sup: Array[Int]) extends Serializable
 
-/** A candidate pattern of a mined group: its support set and, aligned with
-  * it, the occurrence instance tuples at each supporting granule.
+/** A candidate pattern of a mined group. `rels` holds each slot pair's
+  * (relation, flag) code in [[PatternKey.pairOrder]] ([[PatternKey.decode]]).
+  * `support` is its support set; its occurrences at `support(j)` are the
+  * tuples `occOff(j) until occOff(j + 1)`, tuple t being the k instance
+  * indexes `occ(t * k until t * k + k)` into [[HLH1.granules]].
   */
-final case class MinedPattern(
-    key: PatternKey,
-    support: Vector[Int],
-    occs: Vector[Vector[Vector[Instance]]])
+final class MinedPattern(val rels: Array[Byte], val support: Array[Int],
+                         val occOff: Array[Int], val occ: Array[Int]) extends Serializable
 
-/** Result of mining one k-event group: its support set, its candidate
-  * patterns, and the relation checks and occurrences spent on it. It is
-  * also the group's value in [[HLHk]], stored as returned; the next level
-  * reads its patterns' support sets and occurrences.
-  * Serializable — level-2 instances of this travel back from Spark
-  * executors (see [[repro.core.SparkSTPM]]).
+/** Result of mining one k-event group (sorted event ids): its support set,
+  * its candidate patterns, and the relation checks and occurrences spent on
+  * it; stored as returned in [[HLHk]]. Level-2 results come back from Spark.
   */
-final case class GroupMined(
-    group: Vector[Event],
-    sup: Vector[Int],
-    patterns: Vector[MinedPattern],
-    checks: Long,
-    occurrences: Long)
+final class GroupMined(val group: Array[Int], val sup: Array[Int], val patterns: Array[MinedPattern],
+                       val checks: Long, val occurrences: Long) extends Serializable
 
 /** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1). */
 object STPM {
@@ -111,17 +107,18 @@ object STPM {
 
     // Step 2.1 — frequent seasonal single events (Alg. 1 lines 1–9).
     stats.totalEvents = db.allEvents.size
-    val hlh1 = HLH1.build(db, cfg.season, cfg.apriori)
-    for (f <- seriesFilter; e <- hlh1.eh.keysIterator.toVector if !f(e.series)) {
-      hlh1.eh.remove(e); hlh1.gh.remove(e)
-    }
-    stats.candidateEvents = hlh1.eh.size
-    for ((e, sup) <- hlh1.eh; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
-      frequent += FrequentPattern(PatternKey.single(e), sup, seasons)
+    val hlh1 = HLH1.build(db, cfg.season, cfg.apriori, e => seriesFilter.forall(_(e.series)))
+    // Keys, events and instances are built only for frequent patterns.
+    def emit(level: HLHk): Unit =
+      for (gm <- level.groups; p <- gm.patterns;
+           seasons <- Seasonality.frequentSeasons(ArraySeq.unsafeWrapArray(p.support), cfg.season))
+        frequent += FrequentPattern(hlh1.key(gm.group, p.rels), p.support.toVector, seasons)
+    stats.candidateEvents = hlh1.candidates.size
+    emit(hlh1)
     stats.noteEntries(hlh1.entryCount)
 
     // Step 2.2 — frequent seasonal k-event patterns (Alg. 1 lines 10–23):
-    // each level extends the one before it, level 2 the level-1 view.
+    // each level extends the one before it, level 2 extends HLH_1.
     @tailrec def levels(prev: HLHk): Unit = if (prev.k < cfg.maxK) {
       val k = prev.k + 1
       // The pair filter applies at level 2 only — A-STPM mines k >= 3
@@ -131,13 +128,12 @@ object STPM {
         exec = if (k == 2) level2Exec else None)
       stats.candidateGroups.update(k, hlhk.groups.size)
       stats.candidatePatterns.update(k, hlhk.patterns.size)
-      val prevEntries = if (prev.k > 1) prev.entryCount else 0L // the view holds none
+      val prevEntries = if (prev.k > 1) prev.entryCount else 0L // HLH_1 is counted once
       stats.noteEntries(hlh1.entryCount + prevEntries + hlhk.entryCount)
-      for (p <- hlhk.patterns; seasons <- Seasonality.frequentSeasons(p.support, cfg.season))
-        frequent += FrequentPattern(p.key, p.support, seasons)
+      emit(hlhk)
       if (hlhk.groups.nonEmpty) levels(hlhk)
     }
-    if (cfg.maxK >= 2) levels(HLHk.level1(hlh1))
+    levels(hlh1)
     MiningResult(frequent.result(), stats)
   }
 
@@ -155,177 +151,174 @@ object STPM {
       pairFilter: Option[(String, String) => Boolean] = None,
       exec: Option[Level2Exec] = None): HLHk = {
     val k = prev.k + 1
-    val f1 = hlh1.candidates
-    // Transitivity pruning (Lemma 4): from level 3 on, only events
-    // appearing in *candidate* (k-1)-patterns may extend a group. When the
-    // Apriori flag is off, `prev` holds unfiltered patterns — apply the
-    // maxSeason candidacy test here so the transitivity flag stays
-    // meaningful on its own (the paper's Trans-only ablation variant).
-    val filteredF1 =
-      if (k >= 3 && cfg.transitivity) {
-        val pe = prev.patterns
-          .filter(p => Seasonality.isCandidate(p.support.size, cfg.season))
-          .flatMap(_.key.events).toSet
-        f1.filter(pe.contains)
-      } else f1
+    val iterative = k >= 3 && cfg.transitivity
+    val n = hlh1.candidates.size
+    // Transitivity pruning (Lemma 4): from level 3 on, only events of
+    // *candidate* (k-1)-patterns extend a group — tested here, as under
+    // apriori = false `prev` holds every pattern (Trans-only ablation).
+    val inCandidate = Array.fill(n)(!iterative)
+    for (gm <- prev.groups if iterative && gm.patterns.exists(p => candidate(p.support.length, cfg));
+         e <- gm.group) inCandidate(e) = true
+    // The iterative check (Sec. 4.2.2) as a table: bit c of `e0 * n + e1`
+    // (e0 <= e1) admits (relation, flag) code c for events (e0, e1). At
+    // level 3, the codes of candidate 2-patterns; deeper, the group-level
+    // test (cheaper, still sound): every code iff the pair's support passes.
+    val pairRels = new Array[Int](if (iterative) n * n else 0)
+    if (iterative && k == 3)
+      for (gm <- prev.groups; p <- gm.patterns if candidate(p.support.length, cfg))
+        pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
+    else if (iterative)
+      for (e0 <- 0 until n; e1 <- e0 until n
+           if candidate(intersectSorted(hlh1.support(e0), hlh1.support(e1)).length, cfg))
+        pairRels(e0 * n + e1) = -1
     def eachTask(f: GroupTask => Unit): Unit = for {
-      (group, gm) <- prev.groups
-      ek <- filteredF1
-      // Canonical extension only; ek == group.last repeats an event (at
-      // level 2, the self-pairs).
-      if Event.ordering.gteq(ek, group.last)
-      if pairFilter.forall(pf => pf(group.last.series, ek.series))
+      (gm, parent) <- prev.groups.iterator.zipWithIndex
+      last = gm.group.last
+      // Canonical extension only; ek == last repeats an event (at level 2,
+      // the self-pairs).
+      ek <- last until n if inCandidate(ek)
+      if pairFilter.forall(pf => pf(hlh1.candidates(last).series, hlh1.candidates(ek).series))
     } {
       val sup = intersectSorted(gm.sup, hlh1.support(ek))
-      if (admitted(sup.size, cfg)) f(GroupTask(group, ek, sup))
+      if (admitted(sup.length, cfg)) f(new GroupTask(parent, ek, sup))
     }
 
-    val hlhk = new HLHk(k)
+    val groups = Vector.newBuilder[GroupMined]
     def store(gm: GroupMined): Unit = {
       stats.relationChecks += gm.checks
       stats.occurrences += gm.occurrences
-      if (gm.patterns.nonEmpty) hlhk.groups.update(gm.group, gm)
+      if (gm.patterns.nonEmpty) groups += gm
     }
     exec match {
       case Some(run) =>
         val tasks = Vector.newBuilder[GroupTask]
         eachTask(tasks += _)
         run(tasks.result()).foreach(store)
-      case None => eachTask(t => store(mineGroup(hlh1, prev, t, cfg)))
+      case None => eachTask(t => store(mineGroup(hlh1, prev, t, cfg, pairRels)))
     }
-    hlhk
+    new HLHk(k, groups.result())
   }
 
-  /** Candidate test for a k-event group or pattern with `n` supporting
-    * granules: maxSeason >= minSeason when Apriori-like pruning is on
-    * (Sec. IV-B); otherwise only non-emptiness.
+  /** Candidate test of `n` supporting granules: maxSeason >= minSeason
+    * (Sec. IV-B) under Apriori-like pruning, otherwise non-emptiness.
     */
-  private def admitted(n: Int, cfg: STPMConfig): Boolean =
-    if (cfg.apriori) Seasonality.isCandidate(n, cfg.season) else n > 0
+  private def admitted(n: Int, cfg: STPMConfig): Boolean = if (cfg.apriori) candidate(n, cfg) else n > 0
 
-  /** The group-mining kernel (Sec. IV-D 4.2): mine group
-    * `task.group :+ task.ek` by extending every candidate (k-1)-pattern of
-    * `task.group` with instances of `task.ek`. At each granule of the
-    * group's support each stored occurrence grows by one instance, and the
-    * new slot-pair relations are appended; from k = 3 on they are
-    * iteratively checked against candidate 2-patterns when transitivity
-    * pruning is on. At k = 2, `prev` is the level-1 view
-    * ([[HLHk.level1]]). Returns only candidate patterns, and its work as
-    * values; pure in its inputs, so it also runs on executors.
+  private def candidate(n: Int, cfg: STPMConfig): Boolean = Seasonality.isCandidate(n, cfg.season)
+
+  /** The group-mining kernel (Sec. IV-D 4.2): at each granule of the new
+    * group's support, every occurrence of every pattern of the parent group
+    * grows by one instance of `task.ek`; its k-1 new (relation, flag) pairs
+    * are checked against a non-empty `pairRels` and, packed base 6, key the
+    * new pattern with the parent's index. Returns only candidate patterns,
+    * and its work as values; pure in its inputs, so it also runs on executors.
     */
   private[repro] def mineGroup(
       hlh1: HLH1,
       prev: HLHk,
       task: GroupTask,
-      cfg: STPMConfig): GroupMined = {
-    val GroupTask(group, ek, sup) = task
-    val newGroup = group :+ ek
-    val k = newGroup.size
-    val iterative = cfg.transitivity && k >= 3
-    val dupOfLast = ek == group.last
-    val parentPatterns = prev.groups(group).patterns
-    val perPattern = mutable.LinkedHashMap.empty[PatternKey,
-      (mutable.ArrayBuffer[Int], mutable.ArrayBuffer[mutable.ArrayBuffer[Vector[Instance]]])]
-    var checks = 0L
-    var occurrences = 0L
-    for (g <- sup; p <- parentPatterns) {
-      // The parent pattern's occurrences at g, by g's index in its support.
-      val at = indexOfSorted(p.support, g)
-      if (at >= 0) {
-        val eks = hlh1.instancesAt(ek, g)
-        for {
-          parent <- p.occs(at)
-          ei <- eks
-          if !parent.contains(ei)
-          // For a duplicated trailing event keep instance tuples canonical
-          // (ascending) so each unordered combination appears once.
-          if !dupOfLast || Instance.ordering.lt(parent.last, ei)
-        } {
-          var rels = p.key.rels
-          var ok = true
-          var s = 0
-          while (ok && s < parent.size) {
-            checks += 1
-            val a = parent(s)
-            val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
-            ok = !iterative || pairIsCandidate(k, prev, hlh1, first, second, rel, cfg)
-            // Same-event slot pairs canonicalize to flag = true (relations
-            // are between events; instance order carries no identity).
-            rels = rels :+ ((rel, a.event == ei.event || first == a))
-            s += 1
-          }
-          if (ok) {
-            val key = PatternKey(newGroup, rels)
-            val (keySup, keyOccs) = perPattern.getOrElseUpdate(key,
-              (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
-            if (keySup.isEmpty || keySup.last != g) {
-              keySup += g; keyOccs += mutable.ArrayBuffer.empty
+      cfg: STPMConfig,
+      pairRels: Array[Int] = Array.emptyIntArray): GroupMined = {
+    val parentGroup = prev.groups(task.parent)
+    val parents = parentGroup.patterns
+    val ek = task.ek
+    val w = parentGroup.group.length // k - 1 slots per parent tuple
+    val n = hlh1.candidates.size
+    val dupOfLast = ek == parentGroup.group.last
+    val eks = hlh1.groups(ek).patterns(0)
+    // Granules ascend: each support set is searched from its previous hit.
+    var ekAt = 0
+    val parentAt = new Array[Int](parents.length)
+    val index = mutable.LongMap.empty[PatternBuf]
+    val bufs = mutable.ArrayBuffer.empty[PatternBuf]
+    var checks, occurrences = 0L
+    var gi = 0
+    while (gi < task.sup.length) {
+      val g = task.sup(gi)
+      val inst = hlh1.granules(g - 1)
+      ekAt = indexOfSorted(eks.support, g, ekAt)
+      var pi = 0
+      while (pi < parents.length) {
+        val p = parents(pi)
+        val at = indexOfSorted(p.support, g, parentAt(pi))
+        if (at >= 0) {
+          parentAt(pi) = at + 1
+          var o = p.occOff(at) * w
+          while (o < p.occOff(at + 1) * w) {
+            var x = eks.occOff(ekAt)
+            while (x < eks.occOff(ekAt + 1)) {
+              val ei = eks.occ(x)
+              // A repeated event's instances ascend, so each combination
+              // appears once (and ei is not in the parent tuple).
+              if (!dupOfLast || p.occ(o + w - 1) < ei) {
+                var code, s = 0
+                while (s >= 0 && s < w) {
+                  checks += 1
+                  val a = p.occ(o + s)
+                  val c = pairCode(inst, a, ei, cfg.rel)
+                  code = code * 6 + c
+                  s = if (pairRels.isEmpty || (pairRels(inst(3 * a) * n + ek) >>> c & 1) != 0) s + 1 else -1
+                }
+                if (s == w) {
+                  val key = pi.toLong << 32 | code & 0xffffffffL
+                  var b = index.getOrNull(key)
+                  if (b == null) { b = new PatternBuf(extendRels(p.rels, code, w)); index(key) = b; bufs += b }
+                  b.add(g, p.occ, o, w, ei)
+                  occurrences += 1
+                }
+              }
+              x += 1
             }
-            keyOccs.last += (parent :+ ei)
-            occurrences += 1
+            o += w
           }
         }
+        pi += 1
       }
+      gi += 1
     }
-    val candidates = perPattern.iterator.collect {
-      case (key, (keySup, keyOccs)) if admitted(keySup.size, cfg) =>
-        MinedPattern(key, keySup.toVector, keyOccs.iterator.map(_.toVector).toVector)
-    }.toVector
-    GroupMined(newGroup, sup, candidates, checks, occurrences)
+    val candidates = bufs.iterator.filter(b => admitted(b.supportSize, cfg)).map(_.result()).toArray
+    new GroupMined(parentGroup.group :+ ek, task.sup, candidates, checks, occurrences)
   }
 
-  /** Iterative check (Sec. 4.2.2): the oriented triple (rel, first, second)
-    * must exist as a candidate 2-event pattern. At level 3 the previous
-    * level *is* level 2; beyond that we conservatively re-derive the pair's
-    * support from HLH1 and test maxSeason — sound for any k.
+  /** The [[PatternKey.decode]] code of slot pair (a, b), instances of `inst`
+    * with a's event id <= b's: the relation from the one first in
+    * [[Instance.orientationOrdering]]; flagged if a is it or both are one event.
     */
-  private def pairIsCandidate(
-      k: Int,
-      prev: HLHk,
-      hlh1: HLH1,
-      first: Instance, second: Instance, rel: Rel,
-      cfg: STPMConfig): Boolean = {
-    val (e0, e1) = if (Event.ordering.lteq(first.event, second.event))
-      (first.event, second.event) else (second.event, first.event)
-    if (k == 3) {
-      // Orientation flag: which slot held the chronologically first
-      // instance; self-pairs are always stored with flag = true. The
-      // triple must exist as a *candidate* 2-pattern of group (e0, e1) —
-      // under apriori = off the stored level-2 patterns are unfiltered, so
-      // candidacy is re-checked on their support.
-      val triple = (rel, first.event == second.event || first.event == e0)
-      prev.groups.get(Vector(e0, e1)).exists(_.patterns.exists(p =>
-        p.key.rels.head == triple && Seasonality.isCandidate(p.support.size, cfg.season)))
-    } else {
-      // Deeper levels: group-level candidate test (cheaper, still sound).
-      val sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
-      Seasonality.isCandidate(sup.size, cfg.season)
-    }
+  private def pairCode(inst: Array[Int], a: Int, b: Int, cfg: RelCfg): Int = {
+    val aS = inst(3 * a + 1); val aE = inst(3 * a + 2)
+    val bS = inst(3 * b + 1); val bE = inst(3 * b + 2)
+    val aFirst = aS < bS || aS == bS && aE >= bE
+    val rel = if (aFirst) Relations.relate(aS, aE, bS, bE, cfg) else Relations.relate(bS, bE, aS, aE, cfg)
+    2 * rel.ordinal + (if (aFirst || inst(3 * a) == inst(3 * b)) 1 else 0)
   }
 
-  /** Merge-intersection of two sorted granule vectors. */
-  private[repro] def intersectSorted(a: Vector[Int], b: Vector[Int]): Vector[Int] = {
-    val out = Vector.newBuilder[Int]
-    var i = 0; var j = 0
-    while (i < a.size && j < b.size) {
-      val x = a(i); val y = b(j)
-      if (x == y) { out += x; i += 1; j += 1 }
-      else if (x < y) i += 1
+  /** The parent's relation codes, then the `w` packed base 6 in `code`. */
+  private def extendRels(parent: Array[Byte], code: Int, w: Int): Array[Byte] = {
+    val rels = java.util.Arrays.copyOf(parent, parent.length + w)
+    var c = code & 0xffffffffL
+    for (i <- rels.indices.reverse.take(w)) { rels(i) = (c % 6).toByte; c /= 6 }
+    rels
+  }
+
+  /** Merge-intersection of two sorted granule arrays. */
+  private[repro] def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i, j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out.addOne(a(i)); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
       else j += 1
     }
     out.result()
   }
 
-  /** Binary search: the index of `x` in the sorted vector `v`, or -1. */
-  private[repro] def indexOfSorted(v: Vector[Int], x: Int): Int = {
-    var lo = 0; var hi = v.size - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      val m = v(mid)
-      if (m == x) return mid
-      else if (m < x) lo = mid + 1
-      else hi = mid - 1
-    }
-    -1
+  /** The index of `x` in the sorted array `v`, or -1, searched from index
+    * `from` on by galloping, then bisecting: O(log distance).
+    */
+  private[repro] def indexOfSorted(v: Array[Int], x: Int, from: Int = 0): Int = {
+    var lo, hi = from
+    var step = 1
+    while (hi < v.length && v(hi) < x) { lo = hi + 1; hi += step; step <<= 1 }
+    math.max(-1, java.util.Arrays.binarySearch(v, lo, math.min(hi + 1, v.length), x))
   }
 }

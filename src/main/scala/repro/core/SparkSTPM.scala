@@ -104,11 +104,10 @@ object SparkSTPM {
       if (tasks.isEmpty) Vector.empty
       else sc.parallelize(tasks, math.min(parts, tasks.size))
         .mapPartitions { it =>
-          // One HLH1 and its level-1 view per partition, rebuilt from the
-          // broadcast database; each task runs the same kernel as locally.
+          // One HLH1 per partition, rebuilt from the broadcast database (so
+          // with the driver's event ids); each task runs the local kernel.
           lazy val hlh1 = HLH1.build(bcDb.value, cfg.season, cfg.apriori)
-          lazy val level1 = HLHk.level1(hlh1)
-          it.map(STPM.mineGroup(hlh1, level1, _, cfg))
+          it.map(STPM.mineGroup(hlh1, hlh1, _, cfg))
         }
         .collect() // partitions are contiguous slices: input order is kept
         .toVector

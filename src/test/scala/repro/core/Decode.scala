@@ -1,0 +1,49 @@
+package repro.core
+
+import scala.collection.mutable
+
+/** Object views of the Int-encoded HLH levels, for tests that assert on
+  * patterns, support sets and instance tuples.
+  */
+object Decode {
+
+  /** A pattern with its support set and, aligned with it, its occurrence
+    * instance tuples at each supporting granule.
+    */
+  final case class Pattern(key: PatternKey, support: Vector[Int], occs: Vector[Vector[Vector[Instance]]])
+
+  def instance(h: HLH1, g: Int, i: Int): Instance = {
+    val inst = h.granules(g - 1)
+    Instance(h.candidates(inst(3 * i)), Interval(inst(3 * i + 1), inst(3 * i + 2)))
+  }
+
+  def pattern(h: HLH1, gm: GroupMined, p: MinedPattern): Pattern = {
+    val k = gm.group.length
+    val occs = p.support.indices.map { j =>
+      (p.occOff(j) until p.occOff(j + 1)).map { t =>
+        (0 until k).map(s => instance(h, p.support(j), p.occ(t * k + s))).toVector
+      }.toVector
+    }.toVector
+    Pattern(h.key(gm.group, p.rels), p.support.toVector, occs)
+  }
+
+  def patterns(h: HLH1, gm: GroupMined): Vector[Pattern] = gm.patterns.toVector.map(pattern(h, gm, _))
+
+  /** A level's groups (as events) and their patterns, in stored order. */
+  def groups(h: HLH1, level: HLHk): mutable.LinkedHashMap[Vector[Event], Vector[Pattern]] =
+    mutable.LinkedHashMap.from(level.groups.map(gm => gm.group.toVector.map(h.candidates) -> patterns(h, gm)))
+
+  def patterns(h: HLH1, level: HLHk): Iterator[Pattern] = groups(h, level).valuesIterator.flatten
+
+  /** Event e's instances at granule g (HLH_1's GH). */
+  def instancesAt(h: HLH1, e: Event, g: Int): Vector[Instance] =
+    h.candidates.indexOf(e) match {
+      case -1 => Vector.empty
+      case id =>
+        val p = pattern(h, h.groups(id), h.groups(id).patterns(0))
+        p.support.indexOf(g) match {
+          case -1 => Vector.empty
+          case j  => p.occs(j).map(_.head)
+        }
+    }
+}

@@ -28,16 +28,16 @@ class HLHSpec extends AnyFunSuite {
   test("GH holds the instances per granule") {
     val h = HLH1.build(db, cfg, apriori = true)
     val c1 = Event("C", "1")
-    assert(h.instancesAt(c1, 1) == Vector(Instance(c1, Interval(1, 2))))
-    assert(h.instancesAt(c1, 4).isEmpty) // C:1 does not occur at H4
-    assert(h.instancesAt(Event("Z", "9"), 1).isEmpty)
+    assert(Decode.instancesAt(h, c1, 1) == Vector(Instance(c1, Interval(1, 2))))
+    assert(Decode.instancesAt(h, c1, 4).isEmpty) // C:1 does not occur at H4
+    assert(Decode.instancesAt(h, Event("Z", "9"), 1).isEmpty)
   }
 
   test("entry counts are positive and additive") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     assert(h1.entryCount > 0)
     val stats = new MiningStats
-    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
+    val h2 = STPM.mineLevel(h1, h1, Fixtures.stpmCfg, stats)
     assert(h2.entryCount > 0)
     assert(h2.groups.nonEmpty && h2.patterns.nonEmpty)
   }
@@ -45,13 +45,13 @@ class HLHSpec extends AnyFunSuite {
   test("HLHk support lookups") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     val stats = new MiningStats
-    val h2 = STPM.mineLevel(h1, HLHk.level1(h1), Fixtures.stpmCfg, stats)
-    for ((group, gm) <- h2.groups; p <- gm.patterns) {
+    val h2 = Decode.groups(h1, STPM.mineLevel(h1, h1, Fixtures.stpmCfg, stats))
+    for ((group, patterns) <- h2; p <- patterns) {
       assert(p.key.events == group)
       assert(p.support.nonEmpty && p.support == p.support.sorted)
       assert(p.occs.size == p.support.size && p.occs.forall(_.nonEmpty))
     }
-    assert(!h2.groups.contains(Vector(Event("Z", "1"))))
+    assert(!h2.contains(Vector(Event("Z", "1"))))
   }
 
   test("mining counters on the paper's running example") {

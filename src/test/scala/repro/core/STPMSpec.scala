@@ -94,11 +94,11 @@ class STPMSpec extends AnyFunSuite {
     val db = randomDb(3, 60, 3, 11L)
     val cfg = STPMConfig(lenient, maxK = 4)
     val hlh1 = HLH1.build(db, cfg.season, apriori = true)
-    var prev = HLHk.level1(hlh1)
+    var prev: HLHk = hlh1
     for (_ <- 2 to 4) {
       val stats = new MiningStats
       val hlhk = STPM.mineLevel(hlh1, prev, cfg, stats)
-      for (p <- hlhk.patterns; (g, occs) <- p.support.zip(p.occs); t <- occs)
+      for (p <- Decode.patterns(hlh1, hlhk); (g, occs) <- p.support.zip(p.occs); t <- occs)
         assert(PatternKey.ofOccurrence(p.key.events, t, cfg.rel) == p.key,
           s"occurrence $t of ${p.key.render} at granule $g disagrees")
       prev = hlhk
@@ -138,12 +138,14 @@ class STPMSpec extends AnyFunSuite {
   }
 
   test("intersectSorted and indexOfSorted basics") {
-    assert(STPM.intersectSorted(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
-    assert(STPM.intersectSorted(Vector.empty, Vector(1)) == Vector.empty)
-    assert(STPM.indexOfSorted(Vector(1, 3, 5), 3) == 1)
-    assert(STPM.indexOfSorted(Vector(1, 3, 5), 1) == 0)
-    assert(STPM.indexOfSorted(Vector(1, 3, 5), 5) == 2)
-    assert(STPM.indexOfSorted(Vector(1, 3, 5), 4) == -1)
-    assert(STPM.indexOfSorted(Vector.empty, 1) == -1)
+    def intersect(a: Vector[Int], b: Vector[Int]) = STPM.intersectSorted(a.toArray, b.toArray).toVector
+    def indexOf(v: Vector[Int], x: Int) = STPM.indexOfSorted(v.toArray, x)
+    assert(intersect(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
+    assert(intersect(Vector.empty, Vector(1)) == Vector.empty)
+    assert(indexOf(Vector(1, 3, 5), 3) == 1)
+    assert(indexOf(Vector(1, 3, 5), 1) == 0)
+    assert(indexOf(Vector(1, 3, 5), 5) == 2)
+    assert(indexOf(Vector(1, 3, 5), 4) == -1)
+    assert(indexOf(Vector.empty, 1) == -1)
   }
 }
