@@ -111,6 +111,11 @@ class STPMSpec extends AnyFunSuite {
     assert(res.frequent.forall(_.k == 1))
   }
 
+  test("maxK outside 1..13 is rejected: a level's new relations must fit the kernel's 32-bit code") {
+    for (maxK <- Seq(0, 14)) intercept[IllegalArgumentException](STPMConfig(lenient, maxK = maxK))
+    assert(STPMConfig(lenient, maxK = 13).maxK == 13)
+  }
+
   test("impossible thresholds yield no patterns") {
     val db = randomDb(2, 30, 3, 3L)
     val cfg = STPMConfig(SeasonCfg(1, 10, 1, 2, 99))
