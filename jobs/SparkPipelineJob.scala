@@ -6,7 +6,7 @@ import repro.exp.{Experiments, TableResult}
 
 /** End-to-end Spark pipeline demo: generate a preset as a raw DataFrame,
   * run Phase 1 (symbolize → sequence mapping → instances) through
-  * Catalyst, mine with the distributed level-2 fan-out, and print the
+  * Catalyst, mine with every level's group tasks on Spark, and print the
   * frequent seasonal patterns. Args: [dataset] [minSeason].
   */
 object SparkPipelineJob {

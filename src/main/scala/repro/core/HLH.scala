@@ -7,7 +7,7 @@ import scala.collection.mutable
   * index), holding the group's support set (EH_k), its candidate patterns
   * and their support sets (PH_k) and occurrence tuples (GH_k).
   */
-class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) {
+class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) extends Serializable {
   def patterns: Iterator[MinedPattern] = groups.iterator.flatMap(_.patterns)
 
   /** Stored entries, a machine-independent memory proxy: per group, support

@@ -1,8 +1,10 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, LinkedBlockingQueue, ThreadPoolExecutor, TimeUnit}
 import scala.annotation.tailrec
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import repro.core.Relations.RelCfg
 
 /** Full E-STPM configuration (Algorithm 1 + Table III knobs).
@@ -56,10 +58,18 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
   def keys: Set[PatternKey] = frequent.iterator.map(_.key).toSet
 }
 
-/** One group-mining task: extend the previous level's group number `parent`
-  * by event id `ek`; `sup` is the new group's support set.
+/** One group-mining task: extend group number `parent` of the previous
+  * level by event id `ek`.
   */
-final class GroupTask(val parent: Int, val ek: Int, val sup: Array[Int]) extends Serializable
+final class GroupTask(val parent: Int, val ek: Int) extends Serializable
+
+/** What every task of one level reads: HLH_1, the previous level's groups,
+  * the event-pair table `pairRels` ([[STPM.mineLevel]]) and the config.
+  */
+final class Level(val hlh1: HLH1, val prev: IndexedSeq[GroupMined], val pairRels: Array[Int],
+                  val cfg: STPMConfig) extends Serializable {
+  def mine(t: GroupTask): Option[GroupMined] = STPM.mineGroup(hlh1, prev(t.parent), t.ek, pairRels, cfg)
+}
 
 /** A candidate pattern of a mined group. `rels` holds each slot pair's
   * (relation, flag) code in [[PatternKey.pairOrder]] ([[PatternKey.decode]]).
@@ -72,7 +82,7 @@ final class MinedPattern(val rels: Array[Byte], val support: Array[Int],
 
 /** Result of mining one k-event group (sorted event ids): its support set,
   * its candidate patterns, and the relation checks and occurrences spent on
-  * it; stored as returned in [[HLHk]]. Level-2 results come back from Spark.
+  * it; stored as returned in [[HLHk]], wherever it was mined.
   */
 final class GroupMined(val group: Array[Int], val sup: Array[Int], val patterns: Array[MinedPattern],
                        val checks: Long, val occurrences: Long) extends Serializable
@@ -80,12 +90,32 @@ final class GroupMined(val group: Array[Int], val sup: Array[Int], val patterns:
 /** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1). */
 object STPM {
 
-  /** Pluggable execution of the level-2 workload: given the admitted
-    * level-2 tasks, return each task's `mineGroup` result *in input order*.
-    * Without one the tasks run inline; the Spark variant fans the list out
-    * with `mapPartitions`.
+  /** Where a level's tasks run (DESIGN.md §5): given the level and its
+    * tasks, each admitted task's [[Level.mine]] result, *in task order*.
     */
-  private[repro] type Level2Exec = Vector[GroupTask] => Vector[GroupMined]
+  private[repro] type Exec = (Level, Vector[GroupTask]) => Vector[GroupMined]
+
+  private[repro] val inline: Exec = (level, tasks) => tasks.flatMap(level.mine)
+
+  /** The local executor: contiguous chunks of the tasks on a fixed pool of
+    * one daemon thread per available processor (so `taskset` sets its
+    * width), made once per JVM. The caller only waits, and a worker's
+    * exception reaches it unwrapped.
+    */
+  private[repro] val pooled: Exec = {
+    val threads = Runtime.getRuntime.availableProcessors
+    lazy val pool = new ThreadPoolExecutor(threads, threads, 0L, TimeUnit.SECONDS, new LinkedBlockingQueue[Runnable],
+      (r: Runnable) => { val t = new Thread(r, "stpm-worker"); t.setDaemon(true); t })
+    (level, tasks) =>
+      if (tasks.isEmpty) Vector.empty
+      else {
+        // Many more chunks than threads: group costs vary by orders of magnitude.
+        val chunks = tasks.grouped((tasks.size + 16 * threads - 1) / (16 * threads))
+          .map(c => (() => c.flatMap(level.mine)): Callable[Vector[GroupMined]]).toVector
+        try pool.invokeAll(chunks.asJava).asScala.toVector.flatMap(_.get())
+        catch { case e: ExecutionException => throw e.getCause }
+      }
+  }
 
   /** Mine all frequent seasonal temporal patterns of length <= cfg.maxK. */
   def mine(db: SeqDB, cfg: STPMConfig): MiningResult =
@@ -101,7 +131,7 @@ object STPM {
       cfg: STPMConfig,
       seriesFilter: Option[String => Boolean],
       pairFilter: Option[(String, String) => Boolean],
-      level2Exec: Option[Level2Exec] = None): MiningResult = {
+      exec: Exec = pooled): MiningResult = {
     val stats = new MiningStats
     val frequent = Vector.newBuilder[FrequentPattern]
 
@@ -110,9 +140,9 @@ object STPM {
     val hlh1 = HLH1.build(db, cfg.season, cfg.apriori, e => seriesFilter.forall(_(e.series)))
     // Keys, events and instances are built only for frequent patterns.
     def emit(level: HLHk): Unit =
-      for (gm <- level.groups; p <- gm.patterns;
-           seasons <- Seasonality.frequentSeasons(ArraySeq.unsafeWrapArray(p.support), cfg.season))
-        frequent += FrequentPattern(hlh1.key(gm.group, p.rels), p.support.toVector, seasons)
+      for (gm <- level.groups; p <- gm.patterns if Seasonality.isFrequentSeasonal(p.support, cfg.season))
+        frequent += FrequentPattern(hlh1.key(gm.group, p.rels), p.support.toVector,
+          Seasonality.seasonsOf(ArraySeq.unsafeWrapArray(p.support), cfg.season))
     stats.candidateEvents = hlh1.candidates.size
     emit(hlh1)
     stats.noteEntries(hlh1.entryCount)
@@ -122,10 +152,8 @@ object STPM {
     @tailrec def levels(prev: HLHk): Unit = if (prev.k < cfg.maxK) {
       val k = prev.k + 1
       // The pair filter applies at level 2 only — A-STPM mines k >= 3
-      // exactly (Alg. 2 lines 9–10). The executor, too, runs level 2 only.
-      val hlhk = mineLevel(hlh1, prev, cfg, stats,
-        pairFilter = if (k == 2) pairFilter else None,
-        exec = if (k == 2) level2Exec else None)
+      // exactly (Alg. 2 lines 9–10).
+      val hlhk = mineLevel(hlh1, prev, cfg, stats, if (k == 2) pairFilter else None, exec)
       stats.candidateGroups.update(k, hlhk.groups.size)
       stats.candidatePatterns.update(k, hlhk.patterns.size)
       val prevEntries = if (prev.k > 1) prev.entryCount else 0L // HLH_1 is counted once
@@ -139,9 +167,9 @@ object STPM {
 
   /** Mine HLH level k = prev.k + 1 (Sec. IV-D): candidate k-event groups,
     * each a group of `prev` extended by one candidate event, and their
-    * candidate k-event patterns. Each group is stored as soon as it is
-    * mined — by `mineGroup`, or by `exec` over the whole task list — and
-    * only here are its work counts added to `stats`.
+    * candidate k-event patterns. Here only the (group, event) tasks are
+    * listed; `exec` mines them against the level's read-only [[Level]],
+    * and their work counts are added to `stats` here, in task order.
     */
   private[core] def mineLevel(
       hlh1: HLH1,
@@ -149,7 +177,7 @@ object STPM {
       cfg: STPMConfig,
       stats: MiningStats,
       pairFilter: Option[(String, String) => Boolean] = None,
-      exec: Option[Level2Exec] = None): HLHk = {
+      exec: Exec = pooled): HLHk = {
     val k = prev.k + 1
     val iterative = k >= 3 && cfg.transitivity
     val n = hlh1.candidates.size
@@ -171,30 +199,20 @@ object STPM {
       for (e0 <- 0 until n; e1 <- e0 until n
            if candidate(intersectSorted(hlh1.support(e0), hlh1.support(e1)).length, cfg))
         pairRels(e0 * n + e1) = -1
-    def eachTask(f: GroupTask => Unit): Unit = for {
+    // Canonical extension only; ek == last repeats an event (at level 2,
+    // the self-pairs).
+    val tasks = for {
       (gm, parent) <- prev.groups.iterator.zipWithIndex
       last = gm.group.last
-      // Canonical extension only; ek == last repeats an event (at level 2,
-      // the self-pairs).
       ek <- last until n if inCandidate(ek)
       if pairFilter.forall(pf => pf(hlh1.candidates(last).series, hlh1.candidates(ek).series))
-    } {
-      val sup = intersectSorted(gm.sup, hlh1.support(ek))
-      if (admitted(sup.length, cfg)) f(new GroupTask(parent, ek, sup))
-    }
+    } yield new GroupTask(parent, ek)
 
     val groups = Vector.newBuilder[GroupMined]
-    def store(gm: GroupMined): Unit = {
+    for (gm <- exec(new Level(hlh1, prev.groups, pairRels, cfg), tasks.toVector)) {
       stats.relationChecks += gm.checks
       stats.occurrences += gm.occurrences
       if (gm.patterns.nonEmpty) groups += gm
-    }
-    exec match {
-      case Some(run) =>
-        val tasks = Vector.newBuilder[GroupTask]
-        eachTask(tasks += _)
-        run(tasks.result()).foreach(store)
-      case None => eachTask(t => store(mineGroup(hlh1, prev, t, cfg, pairRels)))
     }
     new HLHk(k, groups.result())
   }
@@ -206,22 +224,20 @@ object STPM {
 
   private def candidate(n: Int, cfg: STPMConfig): Boolean = Seasonality.isCandidate(n, cfg.season)
 
-  /** The group-mining kernel (Sec. IV-D 4.2): at each granule of the new
-    * group's support, every occurrence of every pattern of the parent group
-    * grows by one instance of `task.ek`; its k-1 new (relation, flag) pairs
-    * are checked against a non-empty `pairRels` and, packed base 6, key the
-    * new pattern with the parent's index. Returns only candidate patterns,
-    * and its work as values; pure in its inputs, so it also runs on executors.
+  /** The group-mining kernel (Sec. IV-D 4.2): extend `parentGroup` by
+    * event id `ek`, or None if the new group's support is not admitted. At
+    * each granule of that support, every occurrence of every pattern of the
+    * parent grows by one instance of `ek`; its k-1 new (relation, flag)
+    * pairs are checked against a non-empty `pairRels` and, packed base 6,
+    * key the new pattern with the parent pattern's index. Returns only
+    * candidate patterns, and its work as values; pure in its inputs, so it
+    * runs on any thread or executor.
     */
-  private[repro] def mineGroup(
-      hlh1: HLH1,
-      prev: HLHk,
-      task: GroupTask,
-      cfg: STPMConfig,
-      pairRels: Array[Int] = Array.emptyIntArray): GroupMined = {
-    val parentGroup = prev.groups(task.parent)
+  private[repro] def mineGroup(hlh1: HLH1, parentGroup: GroupMined, ek: Int, pairRels: Array[Int],
+                               cfg: STPMConfig): Option[GroupMined] = {
+    val sup = intersectSorted(parentGroup.sup, hlh1.support(ek))
+    if (!admitted(sup.length, cfg)) return None
     val parents = parentGroup.patterns
-    val ek = task.ek
     val w = parentGroup.group.length // k - 1 slots per parent tuple
     val n = hlh1.candidates.size
     val dupOfLast = ek == parentGroup.group.last
@@ -233,8 +249,8 @@ object STPM {
     val bufs = mutable.ArrayBuffer.empty[PatternBuf]
     var checks, occurrences = 0L
     var gi = 0
-    while (gi < task.sup.length) {
-      val g = task.sup(gi)
+    while (gi < sup.length) {
+      val g = sup(gi)
       val inst = hlh1.granules(g - 1)
       ekAt = indexOfSorted(eks.support, g, ekAt)
       var pi = 0
@@ -277,7 +293,7 @@ object STPM {
       gi += 1
     }
     val candidates = bufs.iterator.filter(b => admitted(b.supportSize, cfg)).map(_.result()).toArray
-    new GroupMined(parentGroup.group :+ ek, task.sup, candidates, checks, occurrences)
+    Some(new GroupMined(parentGroup.group :+ ek, sup, candidates, checks, occurrences))
   }
 
   /** The [[PatternKey.decode]] code of slot pair (a, b), instances of `inst`

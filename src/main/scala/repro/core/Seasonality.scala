@@ -104,13 +104,36 @@ object Seasonality {
   }
 
   /** Full frequent-seasonal check for one support set (Def. 3.17). Returns
-    * the chained seasons if frequent, None otherwise.
+    * the chained seasons if frequent (built only then), None otherwise.
     */
-  def frequentSeasons(support: IndexedSeq[Int], cfg: SeasonCfg): Option[Vector[NearSupport]] = {
-    val ss = seasonsOf(support, cfg)
-    if (seasonCount(ss, cfg) >= cfg.minSeason) Some(ss) else None
-  }
+  def frequentSeasons(support: IndexedSeq[Int], cfg: SeasonCfg): Option[Vector[NearSupport]] =
+    if (isFrequentSeasonal(support, cfg)) Some(seasonsOf(support, cfg)) else None
 
   def isFrequentSeasonal(support: IndexedSeq[Int], cfg: SeasonCfg): Boolean =
-    frequentSeasons(support, cfg).isDefined
+    isFrequentSeasonal(support.toArray, cfg)
+
+  /** `seasonCount(seasonsOf(support, cfg), cfg) >= minSeason` in one pass,
+    * allocating nothing: each dense enough near support set is a season,
+    * and extends the chain if its distance to the previous one is in range.
+    */
+  def isFrequentSeasonal(support: Array[Int], cfg: SeasonCfg): Boolean = {
+    var best, run, prevLast = 0
+    var i = 0
+    while (i < support.length && best < cfg.minSeason) {
+      var j = i + 1 // support(i until j) is the near support set at i
+      while (j < support.length && support(j) - support(j - 1) <= cfg.maxPeriod) {
+        if (support(j) <= support(j - 1))
+          throw new IllegalArgumentException(s"support set not strictly increasing at ${support(j)}")
+        j += 1
+      }
+      if (j - i >= cfg.minDensity) {
+        val d = support(i) - prevLast
+        run = if (run > 0 && d >= cfg.distMin && d <= cfg.distMax) run + 1 else 1
+        prevLast = support(j - 1)
+        best = math.max(best, run)
+      }
+      i = j
+    }
+    best >= cfg.minSeason
+  }
 }

@@ -8,12 +8,13 @@ import org.apache.spark.sql.functions._
   *
   * Phase 1 (data transformation) runs as Catalyst DataFrame transforms:
   * symbolization → granule assignment → per-(series, granule) run-length
-  * encoding into event instances. Phase 2 parallelism follows the
-  * single-node-parallelizable shape: only level 2 is distributed — its
-  * group tasks are partitioned and mined inside `mapPartitions` against a
-  * broadcast D_SEQ, each partition running the same group-mining kernel
-  * as the local miner; levels k >= 3 proceed on the driver over the
-  * merged HLH2. A-STPM's MI stage runs locally ([[ASTPM]]).
+  * encoding into event instances. In Phase 2 every level k >= 2 is
+  * distributed through the local miner's executor seam ([[STPM.Exec]]):
+  * the level's group tasks are partitioned and mined inside
+  * `mapPartitions` by the same group-mining kernel, against that level's
+  * broadcast read-only inputs (HLH_1, the previous level's groups and the
+  * event-pair table); the driver lists the tasks and keeps the barrier
+  * between levels. A-STPM's MI stage runs locally ([[ASTPM]]).
   */
 object SparkSTPM {
 
@@ -90,28 +91,25 @@ object SparkSTPM {
   // Phase 2 — distributed mining
   // ------------------------------------------------------------------
 
-  /** E-STPM with the level-2 group tasks fanned out via `mapPartitions`
-    * over a broadcast D_SEQ; levels k >= 3 run on the driver. Identical
-    * results to [[STPM.mine]] (asserted by the test suite); parallelism
-    * defaults to the cluster's default parallelism.
+  /** E-STPM with every level's group tasks fanned out via `mapPartitions`
+    * over that level's broadcast [[Level]]. Identical results to
+    * [[STPM.mine]] (asserted by the test suite); parallelism defaults to
+    * the cluster's default parallelism.
     */
   def mine(spark: SparkSession, db: SeqDB, cfg: STPMConfig,
            parallelism: Int = 0): MiningResult = {
     val sc = spark.sparkContext
     val parts = if (parallelism > 0) parallelism else sc.defaultParallelism
-    val bcDb = sc.broadcast(db)
-    val exec: STPM.Level2Exec = tasks =>
+    val exec: STPM.Exec = (level, tasks) =>
       if (tasks.isEmpty) Vector.empty
-      else sc.parallelize(tasks, math.min(parts, tasks.size))
-        .mapPartitions { it =>
-          // One HLH1 per partition, rebuilt from the broadcast database (so
-          // with the driver's event ids); each task runs the local kernel.
-          lazy val hlh1 = HLH1.build(bcDb.value, cfg.season, cfg.apriori)
-          it.map(STPM.mineGroup(hlh1, hlh1, _, cfg))
-        }
-        .collect() // partitions are contiguous slices: input order is kept
-        .toVector
-    try STPM.mineFiltered(db, cfg, None, None, Some(exec))
-    finally bcDb.destroy()
+      else {
+        val bcLevel = sc.broadcast(level)
+        try sc.parallelize(tasks, math.min(parts, tasks.size))
+          .mapPartitions { it => val l = bcLevel.value; it.flatMap(l.mine) }
+          .collect() // partitions are contiguous slices: input order is kept
+          .toVector
+        finally bcLevel.destroy()
+      }
+    STPM.mineFiltered(db, cfg, None, None, exec)
   }
 }

@@ -226,8 +226,9 @@ object Experiments {
       val season = cfgOf(db.size, base, 0.4, 0.75, ms)
       val cells = variants.toVector.flatMap { case (_, ap, tr) =>
         val cfg = STPMConfig(season, maxK = maxK, apriori = ap, transitivity = tr)
-        val (r, msTime) = timed(STPM.mine(db, cfg))
-        Vector(msTime.toString, r.stats.relationChecks.toString)
+        // The median of 5 runs: one collector pause cannot reorder a row.
+        val runs = Vector.fill(5)(timed(STPM.mine(db, cfg)))
+        Vector(runs.map(_._2).sorted.apply(2).toString, runs.head._1.stats.relationChecks.toString)
       }
       Vector(ms.toString) ++ cells
     }

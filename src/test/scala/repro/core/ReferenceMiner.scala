@@ -30,7 +30,11 @@ object ReferenceMiner {
       if (sup.isEmpty || sup.last != row.pos) sup += row.pos
     }
     support.iterator.flatMap { case (key, sup) =>
-      Seasonality.frequentSeasons(sup.toVector, season).map(FrequentPattern(key, sup.toVector, _))
+      // The verdict straight from Def. 3.17, not the miners' one-pass check.
+      val seasons = Seasonality.seasonsOf(sup.toVector, season)
+      if (Seasonality.seasonCount(seasons, season) >= season.minSeason)
+        Some(FrequentPattern(key, sup.toVector, seasons))
+      else None
     }.toVector
   }
 

@@ -105,6 +105,28 @@ class STPMSpec extends AnyFunSuite {
     }
   }
 
+  test("the pooled executor equals the inline one: same patterns in the same order, same counters") {
+    for (seed <- 1L to 3L; maxK <- Seq(3, 4); ap <- Seq(true, false); tr <- Seq(true, false)) {
+      val db = randomDb(4, 90, 3, seed)
+      val cfg = STPMConfig(lenient, maxK = maxK, apriori = ap, transitivity = tr)
+      val pooled = STPM.mine(db, cfg)
+      val inline = STPM.mineFiltered(db, cfg, None, None, STPM.inline)
+      val at = s"seed=$seed maxK=$maxK apriori=$ap transitivity=$tr"
+      assert(pooled.frequent == inline.frequent, at)
+      assert(pooled.stats.toString == inline.stats.toString, at) // every counter
+    }
+  }
+
+  test("an exception inside a pooled task reaches the caller as thrown, not wrapped") {
+    val hlh1 = HLH1.build(Fixtures.tableIV, Fixtures.exampleCfg, apriori = true)
+    val n = hlh1.candidates.size
+    val level = new Level(hlh1, hlh1.groups, Array.emptyIntArray, Fixtures.stpmCfg)
+    // Event id n is out of range: the kernel's own IndexOutOfBoundsException.
+    val tasks = Vector.tabulate(n)(e => new GroupTask(0, e)) :+ new GroupTask(0, n)
+    for (exec <- Seq(STPM.inline, STPM.pooled))
+      intercept[IndexOutOfBoundsException](exec(level, tasks))
+  }
+
   test("maxK = 1 mines only single events") {
     val db = randomDb(2, 30, 3, 3L)
     val res = STPM.mine(db, STPMConfig(lenient, maxK = 1))

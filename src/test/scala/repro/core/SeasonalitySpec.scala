@@ -122,6 +122,25 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("the one-pass verdict equals the definition: seasonCount(seasonsOf(sup)) >= minSeason") {
+    val gen = for {
+      n <- Gen.choose(0, 80)
+      s <- Gen.listOfN(n, Gen.choose(1, 300))
+      maxPeriod <- Gen.choose(1, 6)
+      minDensity <- Gen.choose(1, 5)
+      distMin <- Gen.choose(0, 12)
+      width <- Gen.choose(0, 30)
+      minSeason <- Gen.choose(1, 5)
+    } yield (s.distinct.sorted.toVector, SeasonCfg(maxPeriod, minDensity, distMin, distMin + width, minSeason))
+    checkProp(Prop.forAll(gen) { case (sup, c) =>
+      val seasons = Seasonality.seasonsOf(sup, c)
+      val definition = if (Seasonality.seasonCount(seasons, c) >= c.minSeason) Some(seasons) else None
+      Seasonality.frequentSeasons(sup, c) == definition &&
+        Seasonality.isFrequentSeasonal(sup.toArray, c) == definition.isDefined
+    }, minTests = 500)
+    intercept[IllegalArgumentException](Seasonality.isFrequentSeasonal(Array(1, 3, 3), cfg))
+  }
+
   test("SeasonCfg.fromPercent converts Table VI percentages with ceil") {
     val c = SeasonCfg.fromPercent(1460, 0.2, 0.5, 90, 270, 12)
     assert(c.maxPeriod == 3)   // ceil(2.92)

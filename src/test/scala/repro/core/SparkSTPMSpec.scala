@@ -111,6 +111,18 @@ class SparkSTPMSpec extends SparkSpec {
     }
   }
 
+  test("distributed mining equals the local kernel at maxK 4 without Apriori pruning") {
+    // Trans-only reaches the level-4 event-pair table on the executors.
+    for (db <- Seq(Fixtures.tableIV, TestData.randomDb(3, 90, 3, 7L))) {
+      val cfg = STPMConfig(TestData.lenient, maxK = 4, apriori = false)
+      val local = STPM.mine(db, cfg)
+      val dist = SparkSTPM.mine(spark, db, cfg, parallelism = 4)
+      assert(local.stats.candidateGroups.contains(4))
+      assert(dist.frequent == local.frequent)
+      assert(dist.stats.toString == local.stats.toString)
+    }
+  }
+
   test("an input with no level-2 task mines to nothing, locally and on Spark") {
     val cfg = Fixtures.stpmCfg.copy(maxK = 3)
     val noEvent = cfg.copy(season = cfg.season.copy(minSeason = Fixtures.tableIV.size + 1))
