@@ -19,7 +19,8 @@ class FigRuntimeMemory extends AnyFunSuite {
     for (r <- t.rows) {
       val aMs = r(2).toLong; val eMs = r(4).toLong; val bMs = r(5).toLong
       val aEntries = r(6).toLong; val eEntries = r(7).toLong
-      // Ordering claims (with generous slack for wall-clock jitter):
+      // Ordering claims, without slack: A-STPM and E-STPM times are
+      // medians of 5 runs, APS-growth's is one run (80x+ margin).
       assert(aMs <= eMs, s"A-STPM ($aMs ms) not faster than E-STPM ($eMs ms): $r")
       assert(eMs <= bMs, s"E-STPM ($eMs ms) not faster than the baseline ($bMs ms): $r")
       assert(bMs > aMs, s"baseline ($bMs ms) not slower than A-STPM ($aMs ms): $r")

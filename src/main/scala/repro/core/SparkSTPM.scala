@@ -1,15 +1,15 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Spark orchestration of FreqSTPfTS (DESIGN.md §5).
   *
-  * Phase 1 (data transformation) runs as Catalyst DataFrame transforms:
-  * symbolization → granule assignment → per-(series, granule) run-length
-  * encoding into event instances. In Phase 2 every level k >= 2 is
-  * distributed through the local miner's executor seam ([[STPM.Exec]]):
+  * Phase 1 (data transformation) runs in executor tasks: the raw frame is an
+  * RDD of whole series, so no raw row enters the logical plan; rows are
+  * symbolized, shuffled by series, sorted by position and run-length encoded
+  * one series at a time by [[SequenceDB.build]]. In Phase 2 every level
+  * k >= 2 is distributed through the local miner's executor seam ([[STPM.Exec]]):
   * the level's group tasks are partitioned and mined inside
   * `mapPartitions` by the same group-mining kernel, against that level's
   * broadcast read-only inputs (HLH_1, the previous level's groups and the
@@ -22,12 +22,13 @@ object SparkSTPM {
   // Phase 1 — DataFrame pipeline
   // ------------------------------------------------------------------
 
-  /** Lift locally generated raw series into a (series, pos, value) frame. */
+  /** Lift raw series into a (series, pos, value) frame made in tasks, one RDD element per series. */
   def rawDF(spark: SparkSession, raw: Vector[(String, Vector[Double])]): DataFrame = {
-    import spark.implicits._
-    raw.flatMap { case (id, vs) =>
-      vs.iterator.zipWithIndex.map { case (v, i) => (id, i + 1, v) }
-    }.toDF("series", "pos", "value")
+    val sc = spark.sparkContext
+    spark.createDataFrame(sc.parallelize(raw.map { case (id, vs) => (id, vs.toArray) },
+        math.max(1, math.min(raw.size, sc.defaultParallelism)))
+      .flatMap { case (id, vs) => vs.iterator.zipWithIndex.map { case (v, i) => (id, i + 1, v) } })
+      .toDF("series", "pos", "value")
   }
 
   /** Symbolize raw values with per-series ascending cut points (Def. 3.7)
@@ -46,24 +47,35 @@ object SparkSTPM {
 
   /** Sequence mapping g: X_S →_m H plus run-length encoding (Defs.
     * 3.11–3.12): one output row per event instance —
-    * (series, granule, symbol, start, end) with fine positions.
+    * (series, granule, symbol, start, end) with fine positions. Each
+    * series' positions must be 1, 2, 3, ...; a missing or repeated
+    * position fails the job, naming its series and position.
     */
   def toInstances(sym: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "granularity factor must be >= 1")
-    val w = Window.partitionBy("series").orderBy("pos")
-    sym
-      .withColumn("granule", (((col("pos") - 1) / m).cast("int") + 1))
-      .withColumn("newRun",
-        when(lag("symbol", 1).over(w).isNull
-          .or(lag("symbol", 1).over(w) =!= col("symbol"))
-          .or(lag("granule", 1).over(w) =!= col("granule")), 1).otherwise(0))
-      .withColumn("runId", sum("newRun").over(w))
-      .groupBy(col("series"), col("granule"), col("runId"))
-      .agg(
-        first("symbol").as("symbol"),
-        min("pos").as("start"),
-        max("pos").as("end"))
-      .drop("runId")
+    import sym.sparkSession.implicits._
+    sym.repartition(col("series")).sortWithinPartitions("series", "pos")
+      .select("series", "pos", "symbol").as[(String, Int, String)]
+      .mapPartitions { sorted => // whole series, each in position order
+        val rows = sorted.buffered
+        Iterator.continually(rows).takeWhile(_.hasNext).flatMap { _ =>
+          val series = rows.head._1
+          val symbols = Vector.newBuilder[String]
+          var n = 0
+          while (rows.hasNext && rows.head._1 == series) {
+            val (_, pos, symbol) = rows.next()
+            n += 1
+            if (pos != n) throw new IllegalArgumentException(
+              if (pos > n) s"missing value at series $series, position $n"
+              else if (n > 1) s"repeated value at series $series, position $pos"
+              else s"positions of series $series start at $pos, not 1")
+            symbols += symbol
+          }
+          SequenceDB.build(SymbolicDB(Vector(SymbolicSeries(series, symbols.result()))), m).rows
+            .iterator.flatMap(r => r.instances.map(i => (series, r.pos, i.event.symbol, i.start, i.end)))
+        }
+      }
+      .toDF("series", "granule", "symbol", "start", "end")
   }
 
   /** Materialize the instance frame into the local mining model. Series of

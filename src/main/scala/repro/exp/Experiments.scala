@@ -184,15 +184,18 @@ object Experiments {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
+  /** The run of median time among 5: one collector pause cannot reorder a row. */
+  private def median5[A](body: => A): (A, Long) = Vector.fill(5)(timed(body)).sortBy(_._2).apply(2)
+
   def runtimeMemory(names: Seq[String] = Seq("RE", "INF"),
                     minSeasons: Seq[Int] = Seq(8, 16),
                     maxK: Int = 3): TableResult = {
     def row(n: String, ms: Int): Vector[String] = {
       val (syb, db) = datasetOf(n)
       val cfg = STPMConfig(cfgOf(db.size, n, 0.4, 0.75, ms), maxK = maxK)
-      val (a, aMs) = timed(ASTPM.mine(syb, db, cfg))
-      val (e, eMs) = timed(STPM.mine(db, cfg))
-      val (b, bMs) = timed(APSGrowth.mine(db, cfg))
+      val (a, aMs) = median5(ASTPM.mine(syb, db, cfg))
+      val (e, eMs) = median5(STPM.mine(db, cfg))
+      val (b, bMs) = timed(APSGrowth.mine(db, cfg)) // one run: 12-28 s each
       Vector(n, ms.toString,
         aMs.toString, s"${a.nmiMillis}", eMs.toString, bMs.toString,
         a.mining.stats.peakEntries.toString, e.stats.peakEntries.toString,
@@ -209,7 +212,8 @@ object Experiments {
         "APS-growth ms", "A entries", "E entries", "APS entries",
         "A #pat", "E #pat", "APS #pat"),
       rows,
-      Vector("APS-growth entries = PS-tree nodes built"))
+      Vector("APS-growth entries = PS-tree nodes built", "A-STPM, E-STPM ms: median of 5 runs; APS-growth ms: 1 run",
+        s"JVM max heap ${sys.runtime.maxMemory >> 20} MB, ${sys.runtime.availableProcessors} available processors"))
   }
 
   // ------------------------------------------------------------------
@@ -226,9 +230,8 @@ object Experiments {
       val season = cfgOf(db.size, base, 0.4, 0.75, ms)
       val cells = variants.toVector.flatMap { case (_, ap, tr) =>
         val cfg = STPMConfig(season, maxK = maxK, apriori = ap, transitivity = tr)
-        // The median of 5 runs: one collector pause cannot reorder a row.
-        val runs = Vector.fill(5)(timed(STPM.mine(db, cfg)))
-        Vector(runs.map(_._2).sorted.apply(2).toString, runs.head._1.stats.relationChecks.toString)
+        val (r, millis) = median5(STPM.mine(db, cfg))
+        Vector(millis.toString, r.stats.relationChecks.toString)
       }
       Vector(ms.toString) ++ cells
     }

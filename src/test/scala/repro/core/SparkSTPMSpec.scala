@@ -28,14 +28,75 @@ class SparkSTPMSpec extends SparkSpec {
     assert(rawDf.select("series").distinct().count() == spec.nSeries)
   }
 
-  test("symbolize rejects a NaN value, naming its series and position") {
-    val df = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9)), ("B", Vector(0.2, Double.NaN))))
-    val cuts = Map("A" -> Vector(0.5), "B" -> Vector(0.5))
-    val e = intercept[Exception](SparkSTPM.symbolize(df, cuts).collect())
+  /** The message of the `IllegalArgumentException` in the cause chain of
+    * the failure of `body`; a task failure wraps the executor's exception.
+    */
+  private def rejection(body: => Any): String = {
+    val e = intercept[Exception](body)
     val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .collectFirst { case iae: IllegalArgumentException => iae }
     assert(cause.isDefined, e)
-    assert(cause.get.getMessage.contains("series B, position 2"), cause.get.getMessage)
+    cause.get.getMessage
+  }
+
+  private val half = Vector(0.5)
+
+  /** Spark Phase 1 of `raw` with one cut at 0.5, and its local counterpart. */
+  private def sparkPhase1(raw: Vector[(String, Vector[Double])], m: Int): SeqDB = {
+    val sym = SparkSTPM.symbolize(SparkSTPM.rawDF(spark, raw), raw.map(_._1 -> half).toMap)
+    SparkSTPM.collectSeqDB(SparkSTPM.toInstances(sym, m), m)
+  }
+  private def localPhase1(raw: Vector[(String, Vector[Double])], m: Int): SeqDB =
+    SequenceDB.build(SymbolicDB(raw.map { case (id, vs) =>
+      SymbolicSeries(id, Symbolizer.thresholds(vs, half)) }), m)
+
+  test("symbolize rejects a NaN value, naming its series and position") {
+    val df = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9)), ("B", Vector(0.2, Double.NaN))))
+    val msg = rejection(SparkSTPM.symbolize(df, Map("A" -> half, "B" -> half)).collect())
+    assert(msg.contains("series B, position 2"), msg)
+  }
+
+  test("toInstances rejects a missing position, naming its series and position") {
+    // Positions 4 and 6 of A hold the same symbol: without the check the
+    // gap would be absorbed into one instance [4,6].
+    val df = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9, 0.2, 0.8, 0.1, 0.7)),
+      ("B", Vector.fill(6)(0.2)))).filter(!(col("series") === "A" && col("pos") === 5))
+    val msg = rejection(SparkSTPM.toInstances(SparkSTPM.symbolize(df, Map("A" -> half, "B" -> half)), 3).collect())
+    assert(msg.contains("missing value at series A, position 5"), msg)
+  }
+
+  test("toInstances rejects a repeated position, naming its series and position") {
+    val base = SparkSTPM.rawDF(spark, Vector(("A", Vector(0.1, 0.9, 0.2)), ("B", Vector(0.2, 0.8, 0.3))))
+    val df = base.union(base.filter(col("series") === "B" && col("pos") === 2))
+    val msg = rejection(SparkSTPM.toInstances(SparkSTPM.symbolize(df, Map("A" -> half, "B" -> half)), 1).collect())
+    assert(msg.contains("repeated value at series B, position 2"), msg)
+  }
+
+  test("an empty input gives an empty SeqDB that mines to nothing, as locally") {
+    val db = sparkPhase1(Vector.empty, 4)
+    assert(db == SeqDB(4, Vector.empty))
+    val cfg = Fixtures.stpmCfg.copy(maxK = 3)
+    assert(STPM.mine(db, cfg).frequent.isEmpty)
+    assert(SparkSTPM.mine(spark, db, cfg, parallelism = 4).frequent.isEmpty)
+  }
+
+  test("a constant series gives one instance per granule, as SequenceDB.build") {
+    // 10 positions at m 4: granules of 4, 4 and a trailing 2.
+    val raw = Vector(("C", Vector.fill(10)(0.7)), ("D", Vector(0.1, 0.9, 0.2, 0.8, 0.1, 0.9, 0.2, 0.8, 0.1, 0.9)))
+    val db = sparkPhase1(raw, 4)
+    assert(db == localPhase1(raw, 4))
+    assert(db.rows.map(_.instancesOf(Event("C", "1")).map(_.interval)) ==
+      Vector(Vector(Interval(1, 4)), Vector(Interval(5, 8)), Vector(Interval(9, 10))))
+  }
+
+  test("toInstances equals SequenceDB.build at any shuffle width and granularity") {
+    val raw = SeasonalGen.rawSeries(spec.copy(nCoarse = 13)) // 52 positions: a partial granule at m 3
+    val conf = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(conf)
+    try for (parts <- Seq(1, 7); m <- Seq(1, 3)) {
+      spark.conf.set(conf, parts.toString)
+      assert(sparkPhase1(raw, m) == localPhase1(raw, m), s"$parts partitions, m $m")
+    } finally spark.conf.set(conf, saved)
   }
 
   test("symbolize matches the local Symbolizer (oracle: threshold count)") {
