@@ -6,9 +6,9 @@ import repro.exp.{Experiments, TableResult}
 
 /** End-to-end Spark pipeline demo: generate a preset as a raw DataFrame,
   * run Phase 1 (symbolize → sequence mapping → instances) in executor
-  * tasks, one pass per series, mine with every level's group tasks on
-  * Spark, and print the frequent seasonal patterns. Args: [dataset]
-  * [minSeason].
+  * tasks, shuffling only runs of one symbol and encoding each series with
+  * the local run encoder, mine with every level's group tasks on Spark,
+  * and print the frequent seasonal patterns. Args: [dataset] [minSeason].
   */
 object SparkPipelineJob {
   def main(args: Array[String]): Unit = {

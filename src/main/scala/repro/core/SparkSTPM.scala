@@ -7,8 +7,10 @@ import org.apache.spark.sql.functions._
   *
   * Phase 1 (data transformation) runs in executor tasks: the raw frame is an
   * RDD of whole series, so no raw row enters the logical plan; rows are
-  * symbolized, shuffled by series, sorted by position and run-length encoded
-  * one series at a time by [[SequenceDB.build]]. In Phase 2 every level
+  * symbolized and folded into runs of one symbol inside each input
+  * partition, only the runs are shuffled by series, and each series' runs
+  * are merged and cut into instances by [[SequenceDB.encode]], the run
+  * encoder of the local [[SequenceDB.build]]. In Phase 2 every level
   * k >= 2 is distributed through the local miner's executor seam ([[STPM.Exec]]):
   * the level's group tasks are partitioned and mined inside
   * `mapPartitions` by the same group-mining kernel, against that level's
@@ -47,33 +49,42 @@ object SparkSTPM {
 
   /** Sequence mapping g: X_S →_m H plus run-length encoding (Defs.
     * 3.11–3.12): one output row per event instance —
-    * (series, granule, symbol, start, end) with fine positions. Each
-    * series' positions must be 1, 2, 3, ...; a missing or repeated
-    * position fails the job, naming its series and position.
+    * (series, granule, symbol, start, end) with fine positions.
+    *
+    * Each input partition first folds its rows, in arrival order, into
+    * runs (series, start, end, symbol): maximal stretches of one series'
+    * consecutive positions that hold one symbol. Only the runs are
+    * shuffled, by series, over `spark.sql.shuffle.partitions` partitions;
+    * an explicit width keeps adaptive execution from coalescing the reduce
+    * side into one task. Each reduce task groups its runs by series and
+    * hands each series to [[SequenceDB.encode]], which sorts them by start,
+    * merges a run split across input partitions and cuts runs at granule
+    * boundaries. Each series' positions must be 1, 2, 3, ...; a missing
+    * or repeated position fails the job, naming its series and position.
     */
   def toInstances(sym: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "granularity factor must be >= 1")
-    import sym.sparkSession.implicits._
-    sym.repartition(col("series")).sortWithinPartitions("series", "pos")
-      .select("series", "pos", "symbol").as[(String, Int, String)]
-      .mapPartitions { sorted => // whole series, each in position order
-        val rows = sorted.buffered
-        Iterator.continually(rows).takeWhile(_.hasNext).flatMap { _ =>
-          val series = rows.head._1
-          val symbols = Vector.newBuilder[String]
-          var n = 0
-          while (rows.hasNext && rows.head._1 == series) {
-            val (_, pos, symbol) = rows.next()
-            n += 1
-            if (pos != n) throw new IllegalArgumentException(
-              if (pos > n) s"missing value at series $series, position $n"
-              else if (n > 1) s"repeated value at series $series, position $pos"
-              else s"positions of series $series start at $pos, not 1")
-            symbols += symbol
-          }
-          SequenceDB.build(SymbolicDB(Vector(SymbolicSeries(series, symbols.result()))), m).rows
-            .iterator.flatMap(r => r.instances.map(i => (series, r.pos, i.event.symbol, i.start, i.end)))
+    val spark = sym.sparkSession
+    import spark.implicits._
+    sym.select("series", "pos", "symbol").as[(String, Int, String)]
+      .mapPartitions { rows =>
+        val in = rows.buffered
+        Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
+          val (series, start, symbol) = in.next()
+          var end = start
+          while (in.hasNext && { val (s, p, y) = in.head; p == end + 1 && y == symbol && s == series })
+            end = in.next()._2
+          (series, start, end, symbol)
         }
+      }
+      .toDF("series", "start", "end", "symbol")
+      .repartition(spark.conf.get("spark.sql.shuffle.partitions").toInt, col("series"))
+      .as[(String, Int, Int, String)]
+      .mapPartitions { runs =>
+        val out = Vector.newBuilder[(String, Int, String, Int, Int)]
+        for ((series, rs) <- runs.toVector.groupMap(_._1)(r => (r._2, r._3, r._4)))
+          SequenceDB.encode(series, rs, m)((g, i) => out += ((series, g, i.event.symbol, i.start, i.end)))
+        out.result().iterator
       }
       .toDF("series", "granule", "symbol", "start", "end")
   }

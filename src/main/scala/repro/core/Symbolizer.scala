@@ -24,10 +24,13 @@ object Symbolizer {
     values.map { v => pos += 1; symbolOf(v, cuts, pos) }
   }
 
+  /** The symbols of the first 256 bins, shared: encoding allocates nothing. */
+  private val binSymbols = Array.tabulate(256)(_.toString)
+
   /** The symbol of one raw value: the number of ascending `cuts` at or
-    * below it. A NaN value has no symbol and is rejected with an
-    * `IllegalArgumentException` naming its position (1-based) and, when
-    * given, its series.
+    * below it, as a string shared by every value of that bin. A NaN value
+    * has no symbol and is rejected with an `IllegalArgumentException`
+    * naming its position (1-based) and, when given, its series.
     */
   def symbolOf(value: Double, cuts: Vector[Double], pos: Int, series: String = ""): String = {
     if (value.isNaN) {
@@ -36,7 +39,7 @@ object Symbolizer {
     }
     var i = 0
     while (i < cuts.size && value >= cuts(i)) i += 1
-    i.toString
+    if (i < binSymbols.length) binSymbols(i) else i.toString
   }
 
   /** Equi-depth cut points for an `alpha`-symbol alphabet (SAX-like, but on

@@ -89,4 +89,44 @@ class SequenceDBSpec extends AnyFunSuite {
       assert(i.start >= lo && i.end <= hi)
     }
   }
+
+  /** The instances `SequenceDB.encode` emits for `runs`, with their granules. */
+  private def encoded(runs: Seq[(Int, Int, String)], m: Int): Vector[(Int, Instance)] = {
+    val out = Vector.newBuilder[(Int, Instance)]
+    SequenceDB.encode("X", runs, m)((g, i) => out += ((g, i)))
+    out.result()
+  }
+
+  test("encode: runs in fragments and out of order equal one ordered pass") {
+    val rnd = new scala.util.Random(11)
+    for (trial <- 1 to 200) {
+      val n = 1 + rnd.nextInt(40)
+      val m = 1 + rnd.nextInt(6)
+      val symbols = Vector.fill(n)(rnd.nextInt(3).toString)
+      val ordered = SequenceDB.build(SymbolicDB(Vector(SymbolicSeries("X", symbols))), m)
+        .rows.flatMap(r => r.instances.map(r.pos -> _))
+      // Cut positions 1..n into fragments of one symbol, then shuffle them.
+      val cuts = (1 until n).filter(p => symbols(p) != symbols(p - 1) || rnd.nextInt(3) == 0)
+      val bounds = (0 +: cuts :+ n).sliding(2).map { case Seq(a, b) => (a + 1, b) }.toVector
+      val fragments = rnd.shuffle(bounds.map { case (a, b) => (a, b, symbols(a - 1)) })
+      assert(encoded(fragments, m) == ordered, s"trial $trial: $fragments at m $m")
+    }
+  }
+
+  test("encode: a run is cut at each granule boundary, a trailing partial granule kept") {
+    val x0 = Event("X", "0")
+    val x1 = Event("X", "1")
+    assert(encoded(Seq((2, 11, "1"), (1, 1, "0")), 4) == Vector(
+      1 -> Instance(x0, Interval(1, 1)), 1 -> Instance(x1, Interval(2, 4)),
+      2 -> Instance(x1, Interval(5, 8)), 3 -> Instance(x1, Interval(9, 11))))
+  }
+
+  test("encode rejects a gap, a repeat and a first position other than 1") {
+    def msg(runs: (Int, Int, String)*) =
+      intercept[IllegalArgumentException](encoded(runs, 3)).getMessage
+    assert(msg((1, 3, "a"), (5, 6, "a")) == "missing value at series X, position 4")
+    assert(msg((1, 3, "a"), (3, 4, "b")) == "repeated value at series X, position 3")
+    assert(msg((1, 2, "a"), (1, 2, "a")) == "repeated value at series X, position 1")
+    assert(msg((2, 3, "a")) == "positions of series X start at 2, not 1")
+  }
 }

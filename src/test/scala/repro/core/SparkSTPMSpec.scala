@@ -1,5 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.SortExec
+import org.apache.spark.sql.execution.adaptive.{AQEShuffleReadExec, AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper}
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.SeasonalGen
@@ -41,9 +45,12 @@ class SparkSTPMSpec extends SparkSpec {
 
   private val half = Vector(0.5)
 
-  /** Spark Phase 1 of `raw` with one cut at 0.5, and its local counterpart. */
-  private def sparkPhase1(raw: Vector[(String, Vector[Double])], m: Int): SeqDB = {
-    val sym = SparkSTPM.symbolize(SparkSTPM.rawDF(spark, raw), raw.map(_._1 -> half).toMap)
+  /** Spark Phase 1 of `raw` with one cut at 0.5, its raw frame passed
+    * through `arrange` first, and its local counterpart.
+    */
+  private def sparkPhase1(raw: Vector[(String, Vector[Double])], m: Int,
+                          arrange: DataFrame => DataFrame = identity): SeqDB = {
+    val sym = SparkSTPM.symbolize(arrange(SparkSTPM.rawDF(spark, raw)), raw.map(_._1 -> half).toMap)
     SparkSTPM.collectSeqDB(SparkSTPM.toInstances(sym, m), m)
   }
   private def localPhase1(raw: Vector[(String, Vector[Double])], m: Int): SeqDB =
@@ -89,14 +96,62 @@ class SparkSTPMSpec extends SparkSpec {
       Vector(Vector(Interval(1, 4)), Vector(Interval(5, 8)), Vector(Interval(9, 10))))
   }
 
-  test("toInstances equals SequenceDB.build at any shuffle width and granularity") {
-    val raw = SeasonalGen.rawSeries(spec.copy(nCoarse = 13)) // 52 positions: a partial granule at m 3
+  /** Run `body` at each of the given `spark.sql.shuffle.partitions`, then restore the setting. */
+  private def atShuffleWidths(widths: Int*)(body: Int => Unit): Unit = {
     val conf = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(conf)
-    try for (parts <- Seq(1, 7); m <- Seq(1, 3)) {
+    try for (parts <- widths) {
       spark.conf.set(conf, parts.toString)
-      assert(sparkPhase1(raw, m) == localPhase1(raw, m), s"$parts partitions, m $m")
+      body(parts)
     } finally spark.conf.set(conf, saved)
+  }
+
+  test("toInstances equals SequenceDB.build at any shuffle width and granularity") {
+    // Scrambled (`orderBy(rand(7))`) or with each series split over input
+    // partitions (`repartition(5)`), runs reach the encoder in fragments and
+    // out of order.
+    val raw = SeasonalGen.rawSeries(spec.copy(nCoarse = 13)) // 52 positions: a partial granule at m 3
+    val arrangements = Seq[(String, DataFrame => DataFrame)](
+      "as made" -> identity, "orderBy(rand(7))" -> (_.orderBy(rand(7))), "repartition(5)" -> (_.repartition(5)))
+    atShuffleWidths(1, 7) { parts =>
+      for ((name, arrange) <- arrangements; m <- Seq(1, 3))
+        assert(sparkPhase1(raw, m, arrange) == localPhase1(raw, m), s"$name, $parts partitions, m $m")
+    }
+  }
+
+  test("toInstances rejects a position repeated inside one input partition or across two") {
+    def partition(rows: (String, Int, Double)*): DataFrame =
+      spark.createDataFrame(spark.sparkContext.parallelize(rows, 1)).toDF("series", "pos", "value")
+    val inside = partition(("A", 1, 0.1), ("B", 1, 0.2), ("B", 2, 0.8), ("B", 2, 0.8),
+      ("A", 2, 0.9), ("B", 3, 0.3), ("A", 3, 0.2))
+    val across = partition(("A", 1, 0.1), ("A", 2, 0.9), ("A", 3, 0.2), ("B", 1, 0.2), ("B", 2, 0.8))
+      .union(partition(("B", 2, 0.8), ("B", 3, 0.3)))
+    for ((df, parts) <- Seq(inside -> 1, across -> 2)) {
+      assert(df.rdd.getNumPartitions == parts)
+      val msg = rejection(SparkSTPM.toInstances(SparkSTPM.symbolize(df, Map("A" -> half, "B" -> half)), 1).collect())
+      assert(msg.contains("repeated value at series B, position 2"), msg)
+    }
+  }
+
+  test("toInstances runs as one uncoalesced shuffle of runs with no Spark sort") {
+    // A shuffle that adaptive execution coalesces puts the whole reduce side,
+    // every series' merge and cut, in one task on one core. A Spark sort
+    // (`sortWithinPartitions`) on this path made allocation per op jump in
+    // 32 MB steps from op to op, with the sorter's pages, so the bench's
+    // warm-up, which waits for allocation to repeat, did not settle.
+    val raw = SeasonalGen.rawSeries(spec.copy(nCoarse = 13))
+    atShuffleWidths(4) { parts =>
+      val inst = SparkSTPM.toInstances(SparkSTPM.symbolize(SparkSTPM.rawDF(spark, raw),
+        raw.map(_._1 -> half).toMap), 3)
+      inst.collect()
+      val plan = inst.queryExecution.executedPlan
+      assert(plan.isInstanceOf[AdaptiveSparkPlanExec], plan)
+      val shuffles = PlanNodes.collect(plan) { case e: ShuffleExchangeExec => e }
+      assert(shuffles.size == 1, plan)
+      assert(shuffles.head.numPartitions == parts, plan)
+      assert(PlanNodes.collect(plan) { case s: SortExec => s }.isEmpty, plan)
+      assert(PlanNodes.collect(plan) { case r: AQEShuffleReadExec if r.hasCoalescedPartition => r }.isEmpty, plan)
+    }
   }
 
   test("symbolize matches the local Symbolizer (oracle: threshold count)") {
@@ -202,3 +257,6 @@ class SparkSTPMSpec extends SparkSpec {
     assert(dist.keys == local.keys)
   }
 }
+
+/** Walks a physical plan into adaptive query stages. */
+private object PlanNodes extends AdaptiveSparkPlanHelper
