@@ -68,26 +68,36 @@ object HLH1 {
 }
 
 /** The support set and occurrence tuples of one pattern, growing while its
-  * group is mined; granules arrive in ascending order. (`addOne`, not `+=`,
-  * which would box each Int.)
+  * group is mined; granules arrive in ascending order. Without `keepOcc`
+  * only the support set is kept: the result's offsets are all 0 and it
+  * holds no tuples. (`addOne`, not `+=`, which would box each Int.)
   */
-private[core] final class PatternBuf(rels: Array[Byte]) {
-  private val sup, occOff, occ = new mutable.ArrayBuilder.ofInt
-  private var last, tuples = 0
+private[core] final class PatternBuf(rels: Array[Byte], keepOcc: Boolean = true) {
+  private var sup = new Array[Int](4)
+  private val occOff, occ = new mutable.ArrayBuilder.ofInt
+  private var size, last, tuples = 0
 
-  def supportSize: Int = sup.length
+  /** The support set so far is `granules(0 until supportSize)`. */
+  def granules: Array[Int] = sup
+  def supportSize: Int = size
 
   /** Add the tuple `src(from until from + w) :+ i` at granule g >= 1. */
   def add(g: Int, src: Array[Int], from: Int, w: Int, i: Int): Unit = {
-    if (g != last) { sup.addOne(g); occOff.addOne(tuples); last = g }
-    var s = from
-    while (s < from + w) { occ.addOne(src(s)); s += 1 }
-    occ.addOne(i)
-    tuples += 1
+    if (g != last) {
+      if (size == sup.length) sup = java.util.Arrays.copyOf(sup, 2 * size)
+      sup(size) = g; size += 1
+      occOff.addOne(tuples); last = g
+    }
+    if (keepOcc) {
+      var s = from
+      while (s < from + w) { occ.addOne(src(s)); s += 1 }
+      occ.addOne(i)
+      tuples += 1
+    }
   }
 
   def result(): MinedPattern = {
     occOff.addOne(tuples)
-    new MinedPattern(rels, sup.result(), occOff.result(), occ.result())
+    new MinedPattern(rels, java.util.Arrays.copyOf(sup, size), occOff.result(), occ.result())
   }
 }

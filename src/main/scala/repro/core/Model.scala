@@ -65,7 +65,6 @@ final case class GranuleRow(pos: Int, instances: Vector[Instance]) {
   }, s"instances of granule $pos are not in canonical order")
 
   def events: Set[Event] = instances.iterator.map(_.event).toSet
-  def instancesOf(e: Event): Vector[Instance] = instances.filter(_.event == e)
 }
 
 /** The temporal sequence database D_SEQ at one granularity (Def. 3.13).

@@ -129,18 +129,4 @@ object MutualInformation {
   def muForSeriesPair(x: SymbolicSeries, y: SymbolicSeries,
                       dseqSize: Int, minSeason: Int, minDensity: Int): Double =
     joint(x, y).mu(dseqSize, minSeason, minDensity)
-
-  /** Theorem 1 lower bound on maxSeason(X1, Y1) (Eq. 6), via Lambert W0.
-    * Returns None when the W argument falls below −1/e (bound undefined).
-    */
-  def maxSeasonLowerBound(lambda1: Double, lambda2: Double, mu: Double,
-                          dseqSize: Int, minDensity: Int): Option[Double] = {
-    val z = log2(math.pow(lambda1, 1.0 - mu)) * Ln2 / lambda2
-    if (z < -1.0 / math.E) None
-    else Some(lambda2 * dseqSize / minDensity.toDouble * math.exp(LambertW.w0(z)))
-  }
-
-  /** Correlation test (Def. 5.4): min of both NMI directions >= μ. */
-  def correlated(x: SymbolicSeries, y: SymbolicSeries, mu: Double): Boolean =
-    joint(x, y).minNmi >= mu
 }

@@ -10,7 +10,8 @@ import repro.core.Relations.RelCfg
 /** Full E-STPM configuration (Algorithm 1 + Table III knobs).
   *
   * The pruning flags realize the ablation of Sec. VI-C3: `apriori` toggles
-  * the maxSeason candidate filter (Lemmas 1–2), `transitivity` toggles the
+  * the candidate filter (Lemmas 1–2, with the season-structure bound
+  * [[Seasonality.seasonBound]] for maxSeason), `transitivity` toggles the
   * FilteredF1 / iterative 2-pattern-existence check (Lemmas 3–4). All four
   * combinations return the same frequent patterns (both prunings are sound);
   * they differ in work done.
@@ -75,7 +76,8 @@ final class Level(val hlh1: HLH1, val prev: IndexedSeq[GroupMined], val pairRels
   * (relation, flag) code in [[PatternKey.pairOrder]] ([[PatternKey.decode]]).
   * `support` is its support set; its occurrences at `support(j)` are the
   * tuples `occOff(j) until occOff(j + 1)`, tuple t being the k instance
-  * indexes `occ(t * k until t * k + k)` into [[HLH1.granules]].
+  * indexes `occ(t * k until t * k + k)` into [[HLH1.granules]]. At the
+  * last level (k = maxK) it holds no tuples ([[PatternBuf]]).
   */
 final class MinedPattern(val rels: Array[Byte], val support: Array[Int],
                          val occOff: Array[Int], val occ: Array[Int]) extends Serializable
@@ -185,7 +187,7 @@ object STPM {
     // *candidate* (k-1)-patterns extend a group — tested here, as under
     // apriori = false `prev` holds every pattern (Trans-only ablation).
     val inCandidate = Array.fill(n)(!iterative)
-    for (gm <- prev.groups if iterative && gm.patterns.exists(p => candidate(p.support.length, cfg));
+    for (gm <- prev.groups if iterative && gm.patterns.exists(p => candidate(p.support, p.support.length, cfg));
          e <- gm.group) inCandidate(e) = true
     // The iterative check (Sec. 4.2.2) as a table: bit c of `e0 * n + e1`
     // (e0 <= e1) admits (relation, flag) code c for events (e0, e1). At
@@ -193,11 +195,11 @@ object STPM {
     // test (cheaper, still sound): every code iff the pair's support passes.
     val pairRels = new Array[Int](if (iterative) n * n else 0)
     if (iterative && k == 3)
-      for (gm <- prev.groups; p <- gm.patterns if candidate(p.support.length, cfg))
+      for (gm <- prev.groups; p <- gm.patterns if candidate(p.support, p.support.length, cfg))
         pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
     else if (iterative)
-      for (e0 <- 0 until n; e1 <- e0 until n
-           if candidate(intersectSorted(hlh1.support(e0), hlh1.support(e1)).length, cfg))
+      for (e0 <- 0 until n; e1 <- e0 until n; sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
+           if candidate(sup, sup.length, cfg))
         pairRels(e0 * n + e1) = -1
     // Canonical extension only; ek == last repeats an event (at level 2,
     // the self-pairs).
@@ -217,12 +219,18 @@ object STPM {
     new HLHk(k, groups.result())
   }
 
-  /** Candidate test of `n` supporting granules: maxSeason >= minSeason
-    * (Sec. IV-B) under Apriori-like pruning, otherwise non-emptiness.
+  /** The candidate test of a support set `sup(0 until n)`: its season
+    * bound reaches minSeason (Sec. IV-B, with [[Seasonality.seasonBound]]
+    * for maxSeason).
     */
-  private def admitted(n: Int, cfg: STPMConfig): Boolean = if (cfg.apriori) candidate(n, cfg) else n > 0
+  private def candidate(sup: Array[Int], n: Int, cfg: STPMConfig): Boolean =
+    Seasonality.seasonBound(sup, n, cfg.season) >= cfg.season.minSeason
 
-  private def candidate(n: Int, cfg: STPMConfig): Boolean = Seasonality.isCandidate(n, cfg.season)
+  /** Admits a group or pattern: a candidate under Apriori-like pruning,
+    * otherwise any non-empty support set.
+    */
+  private def admitted(sup: Array[Int], n: Int, cfg: STPMConfig): Boolean =
+    if (cfg.apriori) candidate(sup, n, cfg) else n > 0
 
   /** The group-mining kernel (Sec. IV-D 4.2): extend `parentGroup` by
     * event id `ek`, or None if the new group's support is not admitted. At
@@ -230,17 +238,19 @@ object STPM {
     * parent grows by one instance of `ek`; its k-1 new (relation, flag)
     * pairs are checked against a non-empty `pairRels` and, packed base 6,
     * key the new pattern with the parent pattern's index. Returns only
-    * candidate patterns, and its work as values; pure in its inputs, so it
-    * runs on any thread or executor.
+    * admitted patterns, and its work as values; pure in its inputs, so it
+    * runs on any thread or executor. At the last level (k = maxK), whose
+    * occurrences nothing reads, the patterns keep their support sets only.
     */
   private[repro] def mineGroup(hlh1: HLH1, parentGroup: GroupMined, ek: Int, pairRels: Array[Int],
                                cfg: STPMConfig): Option[GroupMined] = {
     val sup = intersectSorted(parentGroup.sup, hlh1.support(ek))
-    if (!admitted(sup.length, cfg)) return None
+    if (!admitted(sup, sup.length, cfg)) return None
     val parents = parentGroup.patterns
     val w = parentGroup.group.length // k - 1 slots per parent tuple
     val n = hlh1.candidates.size
     val dupOfLast = ek == parentGroup.group.last
+    val keepOcc = w + 1 < cfg.maxK
     val eks = hlh1.groups(ek).patterns(0)
     // Granules ascend: each support set is searched from its previous hit.
     var ekAt = 0
@@ -278,7 +288,7 @@ object STPM {
                 if (s == w) {
                   val key = pi.toLong << 32 | code & 0xffffffffL
                   var b = index.getOrNull(key)
-                  if (b == null) { b = new PatternBuf(extendRels(p.rels, code, w)); index(key) = b; bufs += b }
+                  if (b == null) { b = new PatternBuf(extendRels(p.rels, code, w), keepOcc); index(key) = b; bufs += b }
                   b.add(g, p.occ, o, w, ei)
                   occurrences += 1
                 }
@@ -292,7 +302,7 @@ object STPM {
       }
       gi += 1
     }
-    val candidates = bufs.iterator.filter(b => admitted(b.supportSize, cfg)).map(_.result()).toArray
+    val candidates = bufs.iterator.filter(b => admitted(b.granules, b.supportSize, cfg)).map(_.result()).toArray
     Some(new GroupMined(parentGroup.group :+ ek, sup, candidates, checks, occurrences))
   }
 

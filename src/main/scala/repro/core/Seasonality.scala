@@ -41,16 +41,47 @@ final case class NearSupport(granules: Vector[Int]) {
   def last: Int = granules.last
 }
 
-/** Season arithmetic (Defs. 3.14–3.17) and the maxSeason bound (Eq. 1). */
+/** Season arithmetic (Defs. 3.14–3.17), the maxSeason bound (Eq. 1) and
+  * the tighter season-structure bound the miner prunes with.
+  */
 object Seasonality {
 
   /** maxSeason (Eq. 1): anti-monotone upper bound on seasons(P). */
   def maxSeason(supportSize: Int, minDensity: Int): Double =
     supportSize.toDouble / minDensity
 
-  /** Candidate test (Sec. IV-B): maxSeason >= minSeason. */
+  /** The paper's candidate test (Sec. IV-B): maxSeason >= minSeason.
+    * HLH_1 keeps the events it admits; longer patterns use [[seasonBound]].
+    */
   def isCandidate(supportSize: Int, cfg: SeasonCfg): Boolean =
     maxSeason(supportSize, cfg.minDensity) >= cfg.minSeason
+
+  /** An upper bound on seasons(P′) (Def. 3.17) for every P′ whose support
+    * set is a subset of `support`, P itself included; never above
+    * ⌊maxSeason⌋, and anti-monotone as Apriori-like pruning needs
+    * (DESIGN.md §1). One pass, allocating nothing: the near support sets
+    * (Def. 3.15) are cut into stretches wherever the gap between two
+    * neighbours exceeds distMax, and the bound is the largest stretch sum
+    * of ⌊|NS| / minDensity⌋. A near support set of SUP′ lies inside one of
+    * SUP, which holds at most ⌊|NS| / minDensity⌋ disjoint seasons, and no
+    * chain of seasons crosses a cut.
+    */
+  def seasonBound(support: Array[Int], cfg: SeasonCfg): Int = seasonBound(support, support.length, cfg)
+
+  /** [[seasonBound]] of the support set `support(0 until n)`. */
+  def seasonBound(support: Array[Int], n: Int, cfg: SeasonCfg): Int = {
+    var best, stretch = 0
+    var i = 0
+    while (i < n) {
+      var j = i + 1 // support(i until j) is the near support set at i
+      while (j < n && support(j) - support(j - 1) <= cfg.maxPeriod) j += 1
+      if (i > 0 && support(i) - support(i - 1) > cfg.distMax) stretch = 0
+      stretch += (j - i) / cfg.minDensity
+      best = math.max(best, stretch)
+      i = j
+    }
+    best
+  }
 
   /** Split a sorted support set into its maximal near support sets: a new
     * set starts whenever the period to the previous granule exceeds

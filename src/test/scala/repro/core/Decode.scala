@@ -35,6 +35,9 @@ object Decode {
 
   def patterns(h: HLH1, level: HLHk): Iterator[Pattern] = groups(h, level).valuesIterator.flatten
 
+  /** Event e's instances in a row of D_SEQ. */
+  def instancesOf(row: GranuleRow, e: Event): Vector[Instance] = row.instances.filter(_.event == e)
+
   /** Event e's instances at granule g (HLH_1's GH). */
   def instancesAt(h: HLH1, e: Event, g: Int): Vector[Instance] =
     h.candidates.indexOf(e) match {

@@ -56,28 +56,28 @@ class HLHSpec extends AnyFunSuite {
 
   test("mining counters on the paper's running example") {
     val s = STPM.mine(db, Fixtures.stpmCfg.copy(maxK = 3)).stats
-    assert(s.candidateGroups.toMap == Map(2 -> 16, 3 -> 7))
-    assert(s.candidatePatterns.toMap == Map(2 -> 16, 3 -> 7))
-    assert(s.relationChecks == 549)
-    assert(s.occurrences == 295)
-    assert(s.peakEntries == 949)
+    assert(s.candidateGroups.toMap == Map(2 -> 12, 3 -> 6))
+    assert(s.candidatePatterns.toMap == Map(2 -> 12, 3 -> 6))
+    assert(s.relationChecks == 447)
+    assert(s.occurrences == 267)
+    assert(s.peakEntries == 670)
   }
 
   test("mining counters at maxK 4 on a random database, with and without Apriori pruning") {
-    // Pinned counters. Trans-only (apriori = false) exercises the maxSeason
-    // test inside the level-3 check; k = 4 the group-level check.
+    // Pinned counters. Trans-only (apriori = false) exercises the season
+    // bound inside the level-3 check; k = 4 the group-level check.
     val db = TestData.randomDb(3, 90, 3, 7L)
     val all = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4)).stats
-    assert(all.candidateGroups.toMap == Map(2 -> 14, 3 -> 15, 4 -> 5))
-    assert(all.candidatePatterns.toMap == Map(2 -> 22, 3 -> 22, 4 -> 6))
-    assert(all.relationChecks == 791)
-    assert(all.occurrences == 467)
-    assert(all.peakEntries == 1929)
+    assert(all.candidateGroups.toMap == Map(2 -> 10, 3 -> 6, 4 -> 2))
+    assert(all.candidatePatterns.toMap == Map(2 -> 11, 3 -> 7, 4 -> 2))
+    assert(all.relationChecks == 562)
+    assert(all.occurrences == 343)
+    assert(all.peakEntries == 1282)
     val trans = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4, apriori = false)).stats
-    assert(trans.candidateGroups.toMap == Map(2 -> 19, 3 -> 23, 4 -> 17))
-    assert(trans.candidatePatterns.toMap == Map(2 -> 44, 3 -> 43, 4 -> 35))
-    assert(trans.relationChecks == 1000)
-    assert(trans.occurrences == 532)
-    assert(trans.peakEntries == 2484)
+    assert(trans.candidateGroups.toMap == Map(2 -> 19, 3 -> 8, 4 -> 5))
+    assert(trans.candidatePatterns.toMap == Map(2 -> 44, 3 -> 13, 4 -> 12))
+    assert(trans.relationChecks == 776)
+    assert(trans.occurrences == 374)
+    assert(trans.peakEntries == 1845)
   }
 }

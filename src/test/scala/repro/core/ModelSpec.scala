@@ -47,8 +47,8 @@ class ModelSpec extends AnyFunSuite {
     val b = Instance(Event("C", "0"), Interval(3, 3))
     val row = GranuleRow(1, Vector(a, b))
     assert(row.events == Set(Event("C", "1"), Event("C", "0")))
-    assert(row.instancesOf(Event("C", "1")) == Vector(a))
-    assert(row.instancesOf(Event("X", "9")).isEmpty)
+    assert(Decode.instancesOf(row, Event("C", "1")) == Vector(a))
+    assert(Decode.instancesOf(row, Event("X", "9")).isEmpty)
   }
 
   test("SeqDB requires dense 1-based granule positions") {

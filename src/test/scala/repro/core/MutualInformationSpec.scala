@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import MutualInformation._
+import Theorem1._
 
 class MutualInformationSpec extends AnyFunSuite with PropSupport {
 

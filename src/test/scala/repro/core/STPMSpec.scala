@@ -92,17 +92,71 @@ class STPMSpec extends AnyFunSuite {
 
   test("incremental pattern keys equal direct ofOccurrence computation") {
     val db = randomDb(3, 60, 3, 11L)
-    val cfg = STPMConfig(lenient, maxK = 4)
+    // maxK 5: levels 2–4 are inner levels, which keep their occurrences.
+    val cfg = STPMConfig(lenient, maxK = 5)
     val hlh1 = HLH1.build(db, cfg.season, apriori = true)
     var prev: HLHk = hlh1
-    for (_ <- 2 to 4) {
+    for (k <- 2 to 4) {
       val stats = new MiningStats
       val hlhk = STPM.mineLevel(hlh1, prev, cfg, stats)
-      for (p <- Decode.patterns(hlh1, hlhk); (g, occs) <- p.support.zip(p.occs); t <- occs)
+      var tuples = 0
+      for (p <- Decode.patterns(hlh1, hlhk); (g, occs) <- p.support.zip(p.occs); t <- occs) {
         assert(PatternKey.ofOccurrence(p.key.events, t, cfg.rel) == p.key,
           s"occurrence $t of ${p.key.render} at granule $g disagrees")
+        tuples += 1
+      }
+      assert(tuples > 0, s"level $k has no occurrences to check")
       prev = hlhk
     }
+  }
+
+  test("patterns at k = maxK keep their full support and no tuples; the work counted is the same") {
+    for (seed <- 1L to 3L) {
+      val db = randomDb(4, 90, 3, seed)
+      val hlh1 = HLH1.build(db, lenient, apriori = true)
+      val h2 = STPM.mineLevel(hlh1, hlh1, STPMConfig(lenient, maxK = 3), new MiningStats)
+      assert(h2.patterns.forall(_.occ.nonEmpty)) // level 2 is not the last at maxK 3
+      val lastStats, innerStats = new MiningStats
+      val last = STPM.mineLevel(hlh1, h2, STPMConfig(lenient, maxK = 3), lastStats)
+      val inner = STPM.mineLevel(hlh1, h2, STPMConfig(lenient, maxK = 4), innerStats)
+      assert(last.patterns.nonEmpty, s"seed=$seed")
+      assert(last.groups.map(_.group.toVector) == inner.groups.map(_.group.toVector))
+      assert(last.patterns.size == inner.patterns.size)
+      for ((l, i) <- last.patterns.zip(inner.patterns)) {
+        assert(l.rels.toVector == i.rels.toVector && l.support.toVector == i.support.toVector)
+        assert(l.occ.isEmpty && l.occOff.toVector == Vector.fill(l.support.length + 1)(0))
+        assert(i.occ.nonEmpty)
+      }
+      assert(lastStats.occurrences > 0 && lastStats.occurrences == innerStats.occurrences)
+      assert(lastStats.relationChecks == innerStats.relationChecks)
+      assert(last.entryCount < inner.entryCount)
+    }
+  }
+
+  test("a distMax cut alone rejects a group that maxSeason admits; the output equals the reference") {
+    // Granules 1–30, one position each. A:1 and B:1 hold at {1,2,3} and
+    // {21,22,23}: 6 / minDensity 3 = 2 seasons by maxSeason, but the gap of
+    // 18 exceeds distMax 10, so no two seasons chain. C:1 and D:1 hold at
+    // {1,2,3} and {8,9,10}, 5 apart: a frequent pair.
+    def series(id: String, on: Set[Int]) = SymbolicSeries(id, (1 to 30).toVector.map(g => if (on(g)) "1" else "0"))
+    val far = Set(1, 2, 3, 21, 22, 23); val near = Set(1, 2, 3, 8, 9, 10)
+    val db = SequenceDB.build(SymbolicDB(Vector(series("A", far), series("B", far),
+      series("C", near), series("D", near))), 1)
+    val cfg = STPMConfig(Fixtures.exampleCfg, maxK = 3)
+    val farSup = far.toArray.sorted
+    assert(Seasonality.isCandidate(farSup.length, cfg.season))
+    assert(Seasonality.seasonBound(farSup, cfg.season) == 1)
+    val hlh1 = HLH1.build(db, cfg.season, apriori = true)
+    assert(hlh1.eh.contains(Fixtures.ev("A:1")) && hlh1.eh.contains(Fixtures.ev("B:1")))
+    def pairs(c: STPMConfig) = Decode.groups(hlh1, STPM.mineLevel(hlh1, hlh1, c, new MiningStats)).keySet
+    val ab = Vector(Fixtures.ev("A:1"), Fixtures.ev("B:1"))
+    assert(!pairs(cfg).contains(ab))
+    assert(pairs(cfg).contains(Vector(Fixtures.ev("C:1"), Fixtures.ev("D:1"))))
+    assert(pairs(cfg.copy(apriori = false)).contains(ab))
+    def table(ps: Vector[FrequentPattern]) = ps.map(p => p.key -> ((p.support, p.seasons))).toMap
+    val mined = table(STPM.mine(db, cfg).frequent)
+    assert(mined.keySet.exists(_.k == 2))
+    assert(mined == table(ReferenceMiner.mine(db, cfg.season, cfg.rel, 3)))
   }
 
   test("the pooled executor equals the inline one: same patterns in the same order, same counters") {

@@ -101,6 +101,46 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("season bound — paper Fig. 3 support, with and without a distMax cut") {
+    // NS = {1,2,3}, {7,8}, {11,12,14}; gaps 4 and 3; ⌊|NS| / 3⌋ = 1, 0, 1.
+    val sup = Array(1, 2, 3, 7, 8, 11, 12, 14)
+    assert(Seasonality.seasonBound(sup, cfg) == 2) // no gap exceeds distMax 10
+    // distMax 3 cuts the gap of 4: stretches {1,2,3} and {7,8},{11,12,14}
+    // bound 1 each, though maxSeason = 8 / 3 admits the support set.
+    val narrow = cfg.copy(distMin = 1, distMax = 3)
+    assert(Seasonality.seasonBound(sup, narrow) == 1)
+    assert(Seasonality.isCandidate(sup.length, narrow))
+    assert(Seasonality.seasonCount(Seasonality.seasonsOf(sup.toVector, narrow), narrow) == 1)
+    assert(Seasonality.seasonBound(sup, sup.length - 3, cfg) == 1) // the first 5 granules
+    assert(Seasonality.seasonBound(Array.emptyIntArray, cfg) == 0)
+  }
+
+  test("season bound is sound: it bounds seasons(P′) of every SUP′ ⊆ SUP and never exceeds maxSeason") {
+    val gen = for {
+      n <- Gen.choose(0, 80)
+      s <- Gen.listOfN(n, Gen.choose(1, 300))
+      maxPeriod <- Gen.choose(1, 6)
+      minDensity <- Gen.choose(1, 4)
+      distMin <- Gen.choose(0, 6)
+      width <- Gen.choose(0, 15) // distMax <= 21, so cuts occur
+      minSeason <- Gen.choose(1, 5)
+      keep <- Gen.listOfN(n, Gen.oneOf(true, false))
+    } yield {
+      val sup = s.distinct.sorted.toArray
+      (sup, sup.zip(keep).collect { case (g, true) => g },
+        SeasonCfg(maxPeriod, minDensity, distMin, distMin + width, minSeason))
+    }
+    var cut = 0 // cases where the bound is below ⌊maxSeason⌋
+    checkProp(Prop.forAll(gen) { case (sup, sub, c) =>
+      def seasons(s: Array[Int]) = Seasonality.seasonCount(Seasonality.seasonsOf(s.toVector, c), c)
+      val bound = Seasonality.seasonBound(sup, c)
+      if (bound < sup.length / c.minDensity) cut += 1
+      seasons(sup) <= bound && seasons(sub) <= bound && bound <= sup.length / c.minDensity &&
+        Seasonality.seasonBound(sub, c) <= bound // anti-monotone
+    }, minTests = 500)
+    assert(cut > 50, s"only $cut cases had a cut")
+  }
+
   test("near support sets partition the support set") {
     val gen = for {
       n <- Gen.choose(1, 80)

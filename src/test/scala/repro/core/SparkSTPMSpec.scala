@@ -92,7 +92,7 @@ class SparkSTPMSpec extends SparkSpec {
     val raw = Vector(("C", Vector.fill(10)(0.7)), ("D", Vector(0.1, 0.9, 0.2, 0.8, 0.1, 0.9, 0.2, 0.8, 0.1, 0.9)))
     val db = sparkPhase1(raw, 4)
     assert(db == localPhase1(raw, 4))
-    assert(db.rows.map(_.instancesOf(Event("C", "1")).map(_.interval)) ==
+    assert(db.rows.map(Decode.instancesOf(_, Event("C", "1")).map(_.interval)) ==
       Vector(Vector(Interval(1, 4)), Vector(Interval(5, 8)), Vector(Interval(9, 10))))
   }
 
