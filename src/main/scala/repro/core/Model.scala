@@ -39,11 +39,19 @@ final case class Instance(event: Event, interval: Interval) {
 }
 
 object Instance {
-  /** Canonical storage order: chronological, ties by end then event. Used
-    * for granule rows and duplicate-combination canonicalization.
+  /** Canonical storage order: chronological, ties by end then event
+    * (series, then symbol). Used for granule rows and duplicate-combination
+    * canonicalization; compares fields in place, allocating nothing.
     */
-  implicit val ordering: Ordering[Instance] =
-    Ordering.by((i: Instance) => (i.start, i.end, i.event.series, i.event.symbol))
+  implicit val ordering: Ordering[Instance] = new Ordering[Instance] {
+    def compare(a: Instance, b: Instance): Int = {
+      var c = Integer.compare(a.start, b.start)
+      if (c == 0) c = Integer.compare(a.end, b.end)
+      if (c == 0) c = a.event.series.compareTo(b.event.series)
+      if (c == 0) c = a.event.symbol.compareTo(b.event.symbol)
+      c
+    }
+  }
 
   /** Relation-orientation order: start ascending, then end *descending*,
     * then event. On a start tie the longer (containing) instance is the
@@ -59,9 +67,10 @@ object Instance {
   * to one canonical chronologically-ordered instance list.
   */
 final case class GranuleRow(pos: Int, instances: Vector[Instance]) {
-  require(instances.sliding(2).forall {
-    case Seq(a, b) => Instance.ordering.lteq(a, b)
-    case _         => true
+  require({
+    var i = 1
+    while (i < instances.size && Instance.ordering.lteq(instances(i - 1), instances(i))) i += 1
+    i >= instances.size
   }, s"instances of granule $pos are not in canonical order")
 
   def events: Set[Event] = instances.iterator.map(_.event).toSet

@@ -1,13 +1,52 @@
 package repro.core
 
-/** A symbolic time series (Def. 3.7): the symbol at each fine-granularity
-  * position, 1-based positions implied by index.
+/** A symbolic time series (Def. 3.7), stored as its runs: maximal stretches
+  * of consecutive positions that hold one symbol. Run `r` covers the 1-based
+  * positions after `ends(r - 1)` (after 0 for the first run) up to `ends(r)`
+  * and holds `alphabet(codes(r))`; `alphabet` is the sorted set of symbols
+  * the series holds, and neighbouring runs hold different symbols.
   */
-final case class SymbolicSeries(id: String, symbols: Vector[String]) {
-  require(symbols.nonEmpty, s"series $id is empty")
-  def length: Int = symbols.size
-  lazy val alphabet: Vector[String] = symbols.distinct.sorted
-  private[core] lazy val codes: Array[Int] = symbols.map(alphabet.zipWithIndex.toMap).toArray
+final class SymbolicSeries private (val id: String, val alphabet: Vector[String],
+                                    private[core] val ends: Array[Int],
+                                    private[core] val codes: Array[Int]) {
+  def length: Int = ends(ends.length - 1)
+
+  /** Calls `f(start, end, symbol)` for each run in position order: 1-based
+    * positions `start..end` hold `symbol`.
+    */
+  def foreachRun(f: (Int, Int, String) => Unit): Unit = {
+    var start = 1
+    for (r <- ends.indices) { f(start, ends(r), alphabet(codes(r))); start = ends(r) + 1 }
+  }
+
+  /** The symbol at each position, rendered from the runs. */
+  def symbols: Vector[String] = {
+    val b = Vector.newBuilder[String]
+    foreachRun((start, end, symbol) => b ++= Iterator.fill(end - start + 1)(symbol))
+    b.result()
+  }
+}
+
+object SymbolicSeries {
+  /** The runs of `symbols`, in one pass: a symbol is compared with the one
+    * before it by reference first, and only each run's symbol is coded.
+    */
+  def apply(id: String, symbols: Vector[String]): SymbolicSeries = {
+    require(symbols.nonEmpty, s"series $id is empty")
+    val ends = Array.newBuilder[Int]
+    val runSymbols = Array.newBuilder[String]
+    var prev = symbols.head
+    var pos = 0
+    for (sym <- symbols) {
+      if (!(sym eq prev) && sym != prev) { ends += pos; runSymbols += prev; prev = sym }
+      pos += 1
+    }
+    ends += pos; runSymbols += prev
+    val runs = runSymbols.result()
+    val alphabet = runs.distinct.sorted.toVector
+    val code = alphabet.zipWithIndex.toMap
+    new SymbolicSeries(id, alphabet, ends.result(), runs.map(code))
+  }
 }
 
 /** The symbolic database D_SYB (Def. 3.8): aligned symbolic series. */
@@ -76,13 +115,23 @@ object MutualInformation {
   private val Ln2 = math.log(2.0)
   private[core] def log2(x: Double): Double = math.log(x) / Ln2
 
-  /** The joint counts of an aligned pair, in one pass over their codes. */
+  /** The joint counts of an aligned pair, in one merge of their runs: each
+    * step covers the positions up to the nearer run end, which all fall in
+    * one cell, and moves past every run that ends there.
+    */
   def joint(x: SymbolicSeries, y: SymbolicSeries): JointCounts = {
     requireAligned(x.id, x.length, y.id, y.length)
     val ay = y.alphabet.size
     val cells = new Array[Long](x.alphabet.size * ay)
-    val cx = x.codes; val cy = y.codes
-    for (i <- cx.indices) cells(cx(i) * ay + cy(i)) += 1
+    val ex = x.ends; val cx = x.codes; val ey = y.ends; val cy = y.codes
+    var i = 0; var j = 0; var pos = 0
+    while (i < ex.length) {
+      val end = math.min(ex(i), ey(j))
+      cells(cx(i) * ay + cy(j)) += end - pos
+      pos = end
+      if (ex(i) == end) i += 1
+      if (ey(j) == end) j += 1
+    }
     new JointCounts(x.alphabet, y.alphabet, cells)
   }
 

@@ -7,7 +7,7 @@ package repro.core
   * the paper's Table IV.
   *
   * One run-length encoder serves both paths: the local
-  * [[SequenceDB.build]] feeds it each series' symbols in order, and Spark's
+  * [[SequenceDB.build]] feeds it each series' runs in order, and Spark's
   * [[SparkSTPM.toInstances]] hands each series' shuffled runs to
   * [[SequenceDB.encode]].
   */
@@ -15,22 +15,22 @@ object SequenceDB {
 
   /** The run-length encoder of one series, fed its runs in position order:
     * `add(start, end, symbol)` says that fine positions `start..end` hold
-    * `symbol`. The runs must tile positions `first, first + 1, ...`; a gap,
-    * an overlap or another first position throws, naming the series and
+    * `symbol`. The runs must tile positions `1, 2, ...`; a gap, an
+    * overlap or another first position throws, naming the series and
     * position. Neighbouring runs of one symbol merge, and each merged run
     * is cut at the coarse granules' boundaries (Def. 3.3) into instances
     * (Def. 3.12), a trailing partial granule included, which go with their
     * granule to `emit` in position order.
     */
-  private final class RunEncoder(series: String, m: Int, emit: (Int, Instance) => Unit, first: Int = 1) {
+  private final class RunEncoder(series: String, m: Int, emit: (Int, Instance) => Unit) {
     require(m >= 1, "granularity factor must be >= 1")
-    private var next = first // the first position not yet covered
+    private var next = 1 // the first position not yet covered
     private var runStart = 0
     private var runSymbol: String = null
 
     def add(start: Int, end: Int, symbol: String): Unit = {
       if (start != next) throw new IllegalArgumentException(
-        if (next == first) s"positions of series $series start at $start, not $first"
+        if (next == 1) s"positions of series $series start at $start, not 1"
         else if (start > next) s"missing value at series $series, position $next"
         else s"repeated value at series $series, position $start")
       if (symbol != runSymbol) { flush(); runStart = start; runSymbol = symbol }
@@ -60,18 +60,6 @@ object SequenceDB {
     enc.flush()
   }
 
-  /** Temporal sequence of one series inside one coarse granule (Def. 3.12):
-    * its symbols from fine position `fineStart` on, consecutive identical
-    * symbols grouped into instances.
-    */
-  def sequenceOf(seriesId: String, symbols: Vector[String], fineStart: Int): Vector[Instance] = {
-    val out = Vector.newBuilder[Instance]
-    val enc = new RunEncoder(seriesId, Int.MaxValue, (_, i) => out += i, fineStart)
-    for (i <- symbols.indices) enc.add(fineStart + i, fineStart + i, symbols(i))
-    enc.flush()
-    out.result()
-  }
-
   /** Build D_SEQ from D_SYB with the m-finer sequence mapping g (Def. 3.13).
     * A trailing partial granule is kept (complete partitioning, Def. 3.2).
     */
@@ -80,7 +68,7 @@ object SequenceDB {
     val granules = Array.fill(Granularity.coarseLength(syb.length, m))(Vector.newBuilder[Instance])
     for (s <- syb.series) {
       val enc = new RunEncoder(s.id, m, (g, i) => granules(g - 1) += i)
-      for (i <- s.symbols.indices) enc.add(i + 1, i + 1, s.symbols(i))
+      s.foreachRun(enc.add)
       enc.flush()
     }
     SeqDB(m, granules.iterator.zipWithIndex.map { case (b, i) =>

@@ -83,6 +83,22 @@ class ASTPMSpec extends AnyFunSuite {
     assert(ASTPM.accuracy(empty, exact) == 0.0)
   }
 
+  test("a constant series has NMI 0 and is pruned; two constants have μ = +∞") {
+    // S000-S002 as above, plus two series that hold one symbol throughout.
+    val n = syb.length
+    val withConstants = SymbolicDB(syb.series.take(3) ++ Vector(
+      SymbolicSeries("K0", Vector.fill(n)("0")), SymbolicSeries("K1", Vector.fill(n)("1"))))
+    val r = ASTPM.mine(withConstants, SequenceDB.build(withConstants, m), cfg)
+    assert(r.muBySeriesPair(("K0", "K1")).isPosInfinity)
+    for (((a, b), nmi) <- r.nmiBySeriesPair if a.startsWith("K") || b.startsWith("K")) {
+      assert(nmi == 0.0, s"NMI of ($a, $b)")
+      // Against a varying series, μ is finite but still above NMI 0.
+      assert(r.muBySeriesPair((a, b)) > 0.0, s"μ of ($a, $b)")
+    }
+    assert(r.keptSeries == Set("S000", "S001", "S002"))
+    assert(r.mining.frequent.forall(_.key.events.forall(_.series.startsWith("S"))))
+  }
+
   test("μ and NMI are recorded for every series pair") {
     val nPairs = spec.nSeries * (spec.nSeries - 1) / 2
     assert(approx.muBySeriesPair.size == nPairs)

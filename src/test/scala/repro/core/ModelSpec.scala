@@ -1,8 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop}
 
-class ModelSpec extends AnyFunSuite {
+class ModelSpec extends AnyFunSuite with PropSupport {
 
   test("event key and parse round-trip") {
     val e = Event("C", "1")
@@ -33,6 +34,23 @@ class ModelSpec extends AnyFunSuite {
     val c = Instance(Event("C", "1"), Interval(1, 3))
     val d = Instance(Event("A", "1"), Interval(2, 2))
     assert(Vector(d, c, b, a).sorted(Instance.ordering) == Vector(a, b, c, d))
+  }
+
+  test("property: instance ordering agrees with the (start, end, series, symbol) tuple order") {
+    val byTuple: Ordering[Instance] =
+      Ordering.by((i: Instance) => (i.start, i.end, i.event.series, i.event.symbol))
+    // Few values per field, so starts, ends and whole events often tie.
+    val instance = for {
+      start <- Gen.choose(1, 3)
+      len <- Gen.choose(0, 2)
+      series <- Gen.oneOf("A", "B", "AB")
+      symbol <- Gen.oneOf("0", "1", "10")
+    } yield Instance(Event(series, symbol), Interval(start, start + len))
+    checkProp(Prop.forAll(instance, instance) { (a, b) =>
+      Integer.signum(Instance.ordering.compare(a, b)) == Integer.signum(byTuple.compare(a, b))
+    }, minTests = 500)
+    val sample = Gen.listOfN(200, instance).sample.get.toVector
+    assert(sample.sorted(Instance.ordering) == sample.sorted(byTuple))
   }
 
   test("granule row rejects out-of-order instances") {

@@ -78,33 +78,80 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
     }, minTests = 50)
   }
 
+  /** The joint counts, Eqs. 2, 4, 5 and 14 of `joint(xs, ys)` equal those
+    * computed from string and string-pair frequencies over the positions.
+    */
+  private def matchesFrequencies(xs: Vector[String], ys: Vector[String],
+                                 dseq: Int, minSeason: Int, minDensity: Int): Boolean = {
+    val n = xs.size.toDouble
+    def freqs[K](keys: Seq[K]): Map[K, Double] =
+      keys.groupBy(identity).map { case (k, v) => k -> v.size / n }
+    val px = freqs(xs); val py = freqs(ys); val pxy = freqs(xs.zip(ys))
+    def h(p: Map[String, Double]) = -p.values.map(v => v * math.log(v) / math.log(2)).sum
+    val i = pxy.map { case ((a, b), v) => v * math.log(v / (px(a) * py(b))) / math.log(2) }.sum
+    def norm(hv: Double) = if (hv <= 0.0) 0.0 else math.max(0.0, i / hv)
+    def dir(a: Map[String, Double], b: Map[String, Double]) =
+      b.values.map(muForEventPair(a.values.min, _, dseq, minSeason, minDensity)).min
+    val t = joint(SymbolicSeries("X", xs), SymbolicSeries("Y", ys))
+    val cells = for (a <- t.xSymbols.indices; b <- t.ySymbols.indices)
+      yield t.count(a, b) == math.round(pxy.getOrElse((t.xSymbols(a), t.ySymbols(b)), 0.0) * n)
+    cells.forall(identity) &&
+      math.abs(t.hX - h(px)) < 1e-12 && math.abs(t.hY - h(py)) < 1e-12 &&
+      math.abs(t.mi - i) < 1e-12 &&
+      math.abs(t.nmiXY - norm(h(px))) < 1e-12 && math.abs(t.nmiYX - norm(h(py))) < 1e-12 &&
+      t.mu(dseq, minSeason, minDensity) == math.min(dir(px, py), dir(py, px))
+  }
+
+  /** Alphabets of 1-3 symbols drawn from a 4-symbol pool, so pairs include
+    * constant series and symbols that only one series holds.
+    */
+  private val alphabets = Gen.choose(1, 3).flatMap(Gen.pick(_, Seq("a", "b", "c", "d"))).map(_.toVector)
+  private val params = Gen.zip(Gen.choose(30, 2000), Gen.choose(1, 4), Gen.choose(1, 4))
+
   test("property: the joint-count kernel equals Eqs. 2, 4, 5 and 14 over string-pair frequencies") {
-    // Alphabets of 1-3 symbols drawn from a 4-symbol pool, so pairs include
-    // constant series and symbols that only one series holds.
     def series(n: Int) = for {
-      k <- Gen.choose(1, 3)
-      alphabet <- Gen.pick(k, Seq("a", "b", "c", "d"))
-      syms <- Gen.listOfN(n, Gen.oneOf(alphabet.toSeq))
+      alphabet <- alphabets
+      syms <- Gen.listOfN(n, Gen.oneOf(alphabet))
     } yield syms.toVector
     val pairs = Gen.choose(1, 30).flatMap(n => Gen.zip(series(n), series(n)))
-    val params = Gen.zip(Gen.choose(30, 2000), Gen.choose(1, 4), Gen.choose(1, 4))
     checkProp(Prop.forAllNoShrink(pairs, params) { case ((xs, ys), (dseq, minSeason, minDensity)) =>
-      val n = xs.size.toDouble
-      def freqs[K](keys: Seq[K]): Map[K, Double] =
-        keys.groupBy(identity).map { case (k, v) => k -> v.size / n }
-      val px = freqs(xs); val py = freqs(ys); val pxy = freqs(xs.zip(ys))
-      def h(p: Map[String, Double]) = -p.values.map(v => v * math.log(v) / math.log(2)).sum
-      val i = pxy.map { case ((a, b), v) => v * math.log(v / (px(a) * py(b))) / math.log(2) }.sum
-      def norm(hv: Double) = if (hv <= 0.0) 0.0 else math.max(0.0, i / hv)
-      def dir(a: Map[String, Double], b: Map[String, Double]) =
-        b.values.map(muForEventPair(a.values.min, _, dseq, minSeason, minDensity)).min
-      val x = SymbolicSeries("X", xs); val y = SymbolicSeries("Y", ys)
-      val t = joint(x, y)
-      math.abs(t.hX - h(px)) < 1e-12 && math.abs(t.hY - h(py)) < 1e-12 &&
-        math.abs(t.mi - i) < 1e-12 &&
-        math.abs(t.nmiXY - norm(h(px))) < 1e-12 && math.abs(t.nmiYX - norm(h(py))) < 1e-12 &&
-        t.mu(dseq, minSeason, minDensity) == math.min(dir(px, py), dir(py, px))
+      matchesFrequencies(xs, ys, dseq, minSeason, minDensity)
     }, minTests = 200)
+  }
+
+  test("property: the run merge equals string-pair frequencies on run-structured series") {
+    // Runs of 1-50 positions over up to 2,000 positions; the run ends of
+    // the two series fall independently, so the merge steps through every
+    // kind of overlap, and a one-symbol alphabet gives a constant series.
+    def series(n: Int) = for {
+      alphabet <- alphabets
+      seed <- Gen.long
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      Iterator.continually(Vector.fill(1 + rnd.nextInt(50))(alphabet(rnd.nextInt(alphabet.size))))
+        .flatten.take(n).toVector
+    }
+    val pairs = Gen.choose(1, 2000).flatMap(n => Gen.zip(series(n), series(n)))
+    checkProp(Prop.forAllNoShrink(pairs, params) { case ((xs, ys), (dseq, minSeason, minDensity)) =>
+      matchesFrequencies(xs, ys, dseq, minSeason, minDensity)
+    }, minTests = 200)
+  }
+
+  test("a symbolic series round-trips through its runs: one run per symbol change, plus 1") {
+    val rnd = new scala.util.Random(3)
+    for (trial <- 1 to 200) {
+      val n = 1 + rnd.nextInt(300)
+      // Fresh string copies: equal runs are found by value, not only by reference.
+      val v = Iterator.continually(Vector.fill(1 + rnd.nextInt(20))(rnd.nextInt(1 + trial % 4).toString))
+        .flatten.take(n).map(new String(_)).toVector
+      val x = SymbolicSeries("X", v)
+      assert(x.symbols == v, s"trial $trial")
+      var runs = 0
+      x.foreachRun((_, _, _) => runs += 1)
+      assert(runs == (1 until n).count(i => v(i) != v(i - 1)) + 1, s"trial $trial")
+      assert(x.length == n && x.alphabet == v.distinct.sorted)
+    }
+    intercept[IllegalArgumentException](SymbolicSeries("E", Vector.empty))
   }
 
   test("muForEventPair: case split at rho = 1/e (Eq. 14)") {

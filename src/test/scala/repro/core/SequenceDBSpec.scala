@@ -4,24 +4,48 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class SequenceDBSpec extends AnyFunSuite {
 
+  /** Temporal sequence of one series inside one coarse granule (Def. 3.12):
+    * its symbols from fine position `fineStart` on, consecutive identical
+    * symbols grouped into instances, walked position by position.
+    */
+  private def sequenceOf(seriesId: String, symbols: Vector[String], fineStart: Int): Vector[Instance] = {
+    val out = Vector.newBuilder[Instance]
+    var lo = 0
+    for (i <- 1 to symbols.size if i == symbols.size || symbols(i) != symbols(lo)) {
+      out += Instance(Event(seriesId, symbols(lo)), Interval(fineStart + lo, fineStart + i - 1))
+      lo = i
+    }
+    out.result()
+  }
+
+  /** D_SEQ by Def. 3.13 position by position: each granule's slice of each
+    * series through [[sequenceOf]], rows in canonical order.
+    */
+  private def perPositionBuild(syb: SymbolicDB, m: Int): SeqDB =
+    SeqDB(m, (1 to Granularity.coarseLength(syb.length, m)).toVector.map { g =>
+      val lo = (g - 1) * m
+      GranuleRow(g, syb.series.flatMap(s => sequenceOf(s.id, s.symbols.slice(lo, lo + m), lo + 1))
+        .sorted(Instance.ordering))
+    })
+
   test("sequenceOf run-length-encodes consecutive identical symbols") {
-    val seq = SequenceDB.sequenceOf("C", Vector("1", "1", "0"), fineStart = 1)
+    val seq = sequenceOf("C", Vector("1", "1", "0"), fineStart = 1)
     assert(seq == Vector(
       Instance(Event("C", "1"), Interval(1, 2)),
       Instance(Event("C", "0"), Interval(3, 3))))
   }
 
   test("sequenceOf with a non-unit fine start offset") {
-    val seq = SequenceDB.sequenceOf("D", Vector("0", "0", "0"), fineStart = 10)
+    val seq = sequenceOf("D", Vector("0", "0", "0"), fineStart = 10)
     assert(seq == Vector(Instance(Event("D", "0"), Interval(10, 12))))
   }
 
   test("sequenceOf of an empty slice is empty") {
-    assert(SequenceDB.sequenceOf("X", Vector.empty, 1).isEmpty)
+    assert(sequenceOf("X", Vector.empty, 1).isEmpty)
   }
 
   test("sequenceOf alternating symbols produces one instance each") {
-    val seq = SequenceDB.sequenceOf("X", Vector("a", "b", "a"), 1)
+    val seq = sequenceOf("X", Vector("a", "b", "a"), 1)
     assert(seq.size == 3)
     assert(seq.map(_.interval.duration).forall(_ == 1))
   }
@@ -87,6 +111,23 @@ class SequenceDBSpec extends AnyFunSuite {
     for (row <- db.rows; i <- row.instances) {
       val (lo, hi) = Granularity.fineRange(row.pos, db.m)
       assert(i.start >= lo && i.end <= hi)
+    }
+  }
+
+  test("build equals the per-position mapping for m in {1, 3, n, n + 1}") {
+    val rnd = new scala.util.Random(5)
+    for (trial <- 1 to 200) {
+      val n = 1 + rnd.nextInt(60)
+      // Runs of 1-8 positions over symbols 0-2; 3 does not divide most n,
+      // so a trailing partial granule is common.
+      val syb = SymbolicDB(Vector.tabulate(1 + rnd.nextInt(4)) { k =>
+        val symbols = Vector.fill(n)(rnd.nextInt(3).toString).scanLeft(("0", 0)) {
+          case ((prev, left), fresh) => if (left > 0) (prev, left - 1) else (fresh, rnd.nextInt(8))
+        }.tail.map(_._1)
+        SymbolicSeries(s"S$k", symbols)
+      })
+      for (m <- Seq(1, 3, n, n + 1))
+        assert(SequenceDB.build(syb, m) == perPositionBuild(syb, m), s"trial $trial at m $m")
     }
   }
 
