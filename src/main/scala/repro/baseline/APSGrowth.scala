@@ -68,7 +68,7 @@ object APSGrowth {
         multisetsTried += 1
         val mult = ms.groupBy(identity).view.mapValues(_.size).toMap
         val baseSup = ms.distinct.map(e => supIdx.getOrElse(e, Vector.empty).toArray)
-          .reduce(STPM.intersectSorted)
+          .reduce(intersectSorted)
         val sup = baseSup.filter(g =>
           mult.forall { case (e, m) => instIdx.getOrElse((e, g), Vector.empty).size >= m })
         if (sup.size >= minCount) {
@@ -126,4 +126,16 @@ object APSGrowth {
     xs.foldLeft(Vector(Vector.empty[A])) { (acc, choices) =>
       for (a <- acc; c <- choices) yield a :+ c
     }
+
+  /** Merge-intersection of two sorted granule arrays. */
+  private[baseline] def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i, j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out.addOne(a(i)); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    out.result()
+  }
 }

@@ -23,13 +23,44 @@ class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) extends Serializable 
   * `granules(g - 1)` holds granule g's candidate instances as (event id,
   * start, end) triples in [[Instance.ordering]]; an instance is its index
   * there. Group e holds the pattern `(e)`: e's support set (EH) and its
-  * instances at each supporting granule as 1-tuples (GH).
+  * instances at each supporting granule as 1-tuples (GH). `totalEvents`
+  * counts the distinct events of D_SEQ, candidates or not.
   */
-final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]],
+final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]], val totalEvents: Int,
                           groups: IndexedSeq[GroupMined]) extends HLHk(1, groups) {
   def support(e: Int): Array[Int] = groups(e).sup
 
   def eh: Map[Event, Vector[Int]] = candidates.zip(groups.map(_.sup.toVector)).toMap
+
+  /** GH as a dense granule index: per event e, |D_SEQ| + 2 offsets such
+    * that e's instances at granule g are the 1-tuples `index(e)(g) until
+    * index(e)(g + 1)` of its pattern `(e)`; an empty range means e is absent.
+    * Built on first use and never serialized, so the `Level` broadcast
+    * does not carry it.
+    */
+  @transient private[core] lazy val index: Array[Array[Int]] = groups.iterator.map { gm =>
+    val p = gm.patterns(0)
+    val at = new Array[Int](granules.length + 2)
+    var j = 0
+    for (g <- 1 until at.length) {
+      if (j < p.support.length && p.support(j) < g) j += 1
+      at(g) = p.occOff(j)
+    }
+    at
+  }.toArray
+
+  /** The granules of the sorted support `sup` at which event e occurs. */
+  private[core] def restrict(sup: Array[Int], e: Int): Array[Int] = {
+    val at = index(e)
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < sup.length) {
+      val g = sup(i)
+      if (at(g) < at(g + 1)) out.addOne(g)
+      i += 1
+    }
+    out.result()
+  }
 
   /** The output key of a pattern of `group` with relation codes `rels`. */
   def key(group: Array[Int], rels: Array[Byte]): PatternKey =
@@ -42,25 +73,56 @@ final class HLH1 private (val candidates: Vector[Event], val granules: Array[Arr
 object HLH1 {
   /** One scan of D_SEQ building support sets and instance indexes for the
     * events `keep` admits, (with Apriori-like pruning) only the candidate
-    * seasonal ones: maxSeason(E) >= minSeason.
+    * seasonal ones: maxSeason(E) >= minSeason. Each instance's event is
+    * hashed once, to a first-seen id that the rest of the build uses.
     */
   def build(db: SeqDB, cfg: SeasonCfg, apriori: Boolean, keep: Event => Boolean = _ => true): HLH1 = {
-    val supSize = mutable.HashMap.empty[Event, Int]
-    for (row <- db.rows; e <- row.events) supSize(e) = supSize.getOrElse(e, 0) + 1
-    val candidates = supSize.iterator.collect {
-      case (e, n) if keep(e) && (!apriori || Seasonality.isCandidate(n, cfg)) => e
-    }.toVector.sorted
-    val id = candidates.zipWithIndex.toMap
-    val single = candidates.map(_ => new PatternBuf(Array.emptyByteArray))
-    val granules = db.rows.iterator.map { row =>
+    // While loops and a constant default: a closure per row or instance
+    // would allocate until the JIT removes it, and allocation per op
+    // would drift from op to op.
+    val seen = mutable.HashMap.empty[Event, Int]
+    val seenIds = db.rows.map { row =>
+      val ids = new Array[Int](row.instances.size)
+      var i = 0
+      while (i < ids.length) {
+        val e = row.instances(i).event
+        ids(i) = seen.getOrElse(e, -1)
+        if (ids(i) < 0) { ids(i) = seen.size; seen(e) = ids(i) }
+        i += 1
+      }
+      ids
+    }
+    val events = new Array[Event](seen.size)
+    for ((e, s) <- seen) events(s) = e
+    val supSize, lastPos = new Array[Int](events.length)
+    for (row <- db.rows) {
+      val ids = seenIds(row.pos - 1)
+      var i = 0
+      while (i < ids.length) {
+        if (lastPos(ids(i)) != row.pos) { lastPos(ids(i)) = row.pos; supSize(ids(i)) += 1 }
+        i += 1
+      }
+    }
+    val kept = events.indices.filter(s => keep(events(s)) && (!apriori || Seasonality.isCandidate(supSize(s), cfg)))
+      .sortBy(events)
+    val id = Array.fill(events.length)(-1)
+    for ((s, e) <- kept.zipWithIndex) id(s) = e
+    val single = kept.map(_ => new PatternBuf(Array.emptyByteArray))
+    val granules = db.rows.map { row =>
+      val ids = seenIds(row.pos - 1)
       val flat = new mutable.ArrayBuilder.ofInt
-      for (in <- row.instances; e <- id.get(in.event)) {
-        single(e).add(row.pos, Array.emptyIntArray, 0, 0, flat.length / 3)
-        flat.addOne(e).addOne(in.start).addOne(in.end)
+      var i = 0
+      while (i < ids.length) {
+        val e = id(ids(i))
+        if (e >= 0) {
+          single(e).add(row.pos, Array.emptyIntArray, 0, 0, flat.length / 3)
+          flat.addOne(e).addOne(row.instances(i).start).addOne(row.instances(i).end)
+        }
+        i += 1
       }
       flat.result()
     }.toArray
-    new HLH1(candidates, granules, single.indices.map { e =>
+    new HLH1(kept.map(events).toVector, granules, events.length, single.indices.map { e =>
       val p = single(e).result()
       new GroupMined(Array(e), p.support, Array(p), 0L, 0L)
     })

@@ -138,8 +138,8 @@ object STPM {
     val frequent = Vector.newBuilder[FrequentPattern]
 
     // Step 2.1 — frequent seasonal single events (Alg. 1 lines 1–9).
-    stats.totalEvents = db.allEvents.size
     val hlh1 = HLH1.build(db, cfg.season, cfg.apriori, e => seriesFilter.forall(_(e.series)))
+    stats.totalEvents = hlh1.totalEvents
     // Keys, events and instances are built only for frequent patterns.
     def emit(level: HLHk): Unit =
       for (gm <- level.groups; p <- gm.patterns if Seasonality.isFrequentSeasonal(p.support, cfg.season))
@@ -198,7 +198,7 @@ object STPM {
       for (gm <- prev.groups; p <- gm.patterns if candidate(p.support, p.support.length, cfg))
         pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
     else if (iterative)
-      for (e0 <- 0 until n; e1 <- e0 until n; sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
+      for (e0 <- 0 until n; e1 <- e0 until n; sup = hlh1.restrict(hlh1.support(e0), e1)
            if candidate(sup, sup.length, cfg))
         pairRels(e0 * n + e1) = -1
     // Canonical extension only; ek == last repeats an event (at level 2,
@@ -233,47 +233,44 @@ object STPM {
     if (cfg.apriori) candidate(sup, n, cfg) else n > 0
 
   /** The group-mining kernel (Sec. IV-D 4.2): extend `parentGroup` by
-    * event id `ek`, or None if the new group's support is not admitted. At
-    * each granule of that support, every occurrence of every pattern of the
-    * parent grows by one instance of `ek`; its k-1 new (relation, flag)
-    * pairs are checked against a non-empty `pairRels` and, packed base 6,
-    * key the new pattern with the parent pattern's index. Returns only
-    * admitted patterns, and its work as values; pure in its inputs, so it
-    * runs on any thread or executor. At the last level (k = maxK), whose
-    * occurrences nothing reads, the patterns keep their support sets only.
+    * event id `ek`, or None if the new group's support is not admitted. Each
+    * parent pattern walks its own support and finds `ek`'s instances at a
+    * granule in O(1) through HLH_1's granule index; every occurrence there
+    * grows by one instance of `ek`. Its k-1 new (relation, flag) pairs are
+    * checked against a non-empty `pairRels` and, packed base 6, key the new
+    * pattern with the parent pattern's index. Returns only admitted
+    * patterns, in the order of their first granule (then parent), and its
+    * work as values; pure in its inputs, so it runs on any thread or
+    * executor. At the last level (k = maxK), whose occurrences nothing
+    * reads, the patterns keep their support sets only.
     */
   private[repro] def mineGroup(hlh1: HLH1, parentGroup: GroupMined, ek: Int, pairRels: Array[Int],
                                cfg: STPMConfig): Option[GroupMined] = {
-    val sup = intersectSorted(parentGroup.sup, hlh1.support(ek))
+    val sup = hlh1.restrict(parentGroup.sup, ek)
     if (!admitted(sup, sup.length, cfg)) return None
     val parents = parentGroup.patterns
     val w = parentGroup.group.length // k - 1 slots per parent tuple
     val n = hlh1.candidates.size
     val dupOfLast = ek == parentGroup.group.last
     val keepOcc = w + 1 < cfg.maxK
-    val eks = hlh1.groups(ek).patterns(0)
-    // Granules ascend: each support set is searched from its previous hit.
-    var ekAt = 0
-    val parentAt = new Array[Int](parents.length)
+    val at = hlh1.index(ek)
+    val ekOcc = hlh1.groups(ek).patterns(0).occ
     val index = mutable.LongMap.empty[PatternBuf]
     val bufs = mutable.ArrayBuffer.empty[PatternBuf]
     var checks, occurrences = 0L
-    var gi = 0
-    while (gi < sup.length) {
-      val g = sup(gi)
-      val inst = hlh1.granules(g - 1)
-      ekAt = indexOfSorted(eks.support, g, ekAt)
-      var pi = 0
-      while (pi < parents.length) {
-        val p = parents(pi)
-        val at = indexOfSorted(p.support, g, parentAt(pi))
-        if (at >= 0) {
-          parentAt(pi) = at + 1
-          var o = p.occOff(at) * w
-          while (o < p.occOff(at + 1) * w) {
-            var x = eks.occOff(ekAt)
-            while (x < eks.occOff(ekAt + 1)) {
-              val ei = eks.occ(x)
+    var pi = 0
+    while (pi < parents.length) {
+      val p = parents(pi)
+      var j = 0
+      while (j < p.support.length) {
+        val g = p.support(j)
+        if (at(g) < at(g + 1)) {
+          val inst = hlh1.granules(g - 1)
+          var o = p.occOff(j) * w
+          while (o < p.occOff(j + 1) * w) {
+            var x = at(g)
+            while (x < at(g + 1)) {
+              val ei = ekOcc(x)
               // A repeated event's instances ascend, so each combination
               // appears once (and ei is not in the parent tuple).
               if (!dupOfLast || p.occ(o + w - 1) < ei) {
@@ -298,11 +295,14 @@ object STPM {
             o += w
           }
         }
-        pi += 1
+        j += 1
       }
-      gi += 1
+      pi += 1
     }
+    // `bufs` is in parent order; a stable sort by first granule gives the
+    // order of a walk granule by granule.
     val candidates = bufs.iterator.filter(b => admitted(b.granules, b.supportSize, cfg)).map(_.result()).toArray
+      .sortBy(_.support(0))
     Some(new GroupMined(parentGroup.group :+ ek, sup, candidates, checks, occurrences))
   }
 
@@ -324,27 +324,5 @@ object STPM {
     var c = code & 0xffffffffL
     for (i <- rels.indices.reverse.take(w)) { rels(i) = (c % 6).toByte; c /= 6 }
     rels
-  }
-
-  /** Merge-intersection of two sorted granule arrays. */
-  private[repro] def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new mutable.ArrayBuilder.ofInt
-    var i, j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out.addOne(a(i)); i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    out.result()
-  }
-
-  /** The index of `x` in the sorted array `v`, or -1, searched from index
-    * `from` on by galloping, then bisecting: O(log distance).
-    */
-  private[repro] def indexOfSorted(v: Array[Int], x: Int, from: Int = 0): Int = {
-    var lo, hi = from
-    var step = 1
-    while (hi < v.length && v(hi) < x) { lo = hi + 1; hi += step; step <<= 1 }
-    math.max(-1, java.util.Arrays.binarySearch(v, lo, math.min(hi + 1, v.length), x))
   }
 }

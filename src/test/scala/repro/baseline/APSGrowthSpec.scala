@@ -74,4 +74,10 @@ class APSGrowthSpec extends AnyFunSuite {
     assert(APSGrowth.compositions(3, 3) == Vector(Vector(1, 1, 1)))
     assert(APSGrowth.compositions(2, 3).isEmpty)
   }
+
+  test("intersectSorted basics") {
+    def intersect(a: Vector[Int], b: Vector[Int]) = APSGrowth.intersectSorted(a.toArray, b.toArray).toVector
+    assert(intersect(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
+    assert(intersect(Vector.empty, Vector(1)) == Vector.empty)
+  }
 }

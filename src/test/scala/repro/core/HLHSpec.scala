@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.SeasonalGen
+import repro.exp.Experiments
 
 class HLHSpec extends AnyFunSuite {
   private val db = Fixtures.tableIV
@@ -31,6 +33,43 @@ class HLHSpec extends AnyFunSuite {
     assert(Decode.instancesAt(h, c1, 1) == Vector(Instance(c1, Interval(1, 2))))
     assert(Decode.instancesAt(h, c1, 4).isEmpty) // C:1 does not occur at H4
     assert(Decode.instancesAt(h, Event("Z", "9"), 1).isEmpty)
+  }
+
+  test("the granule index gives every candidate event's instances at every granule") {
+    // 91 positions at m 3: 31 granules, the last a partial one of 1 position.
+    val random = TestData.randomDb(3, 91, 3, 7L)
+    assert(random.size == 31 && random.rows.last.instances.forall(_.interval == Interval(91, 91)))
+    for (db <- Seq(db, random); apriori <- Seq(true, false)) {
+      val h = HLH1.build(db, cfg, apriori)
+      var absent = 0
+      for (e <- h.candidates.indices) {
+        val at = h.index(e)
+        val occ = h.groups(e).patterns(0).occ
+        assert(at.length == db.size + 2 && at(0) == 0 && at(1) == 0 && at(db.size + 1) == occ.length)
+        for (g <- 1 to db.size) {
+          val viaIndex = (at(g) until at(g + 1)).map(x => Decode.instance(h, g, occ(x))).toVector
+          assert(viaIndex == Decode.instancesOf(db.row(g), h.candidates(e)), s"${h.candidates(e)} at granule $g")
+          if (viaIndex.isEmpty) absent += 1
+        }
+        assert(h.restrict((1 to db.size).toArray, e).toVector == h.support(e).toVector)
+      }
+      assert(absent > 0)
+    }
+  }
+
+  test("the granule index is built on first use and is not serialized") {
+    def bytes(x: AnyRef): Array[Byte] = {
+      val out = new java.io.ByteArrayOutputStream
+      val os = new java.io.ObjectOutputStream(out)
+      os.writeObject(x); os.close()
+      out.toByteArray
+    }
+    val h = HLH1.build(db, cfg, apriori = true)
+    val before = bytes(h)
+    val index = h.index.map(_.toVector).toVector
+    assert(bytes(h).length == before.length)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(before)).readObject().asInstanceOf[HLH1]
+    assert(copy.index.map(_.toVector).toVector == index)
   }
 
   test("entry counts are positive and additive") {
@@ -79,5 +118,16 @@ class HLHSpec extends AnyFunSuite {
     assert(trans.relationChecks == 776)
     assert(trans.occurrences == 374)
     assert(trans.peakEntries == 1845)
+  }
+
+  test("mining counters on the RE analog with 12 series, seed 42, at maxK 3") {
+    val (_, db) = SeasonalGen.dataset(SeasonalGen.re(42L).copy(nSeries = 12))
+    val s = STPM.mine(db, STPMConfig(Experiments.cfgOf(db.size, "RE", 0.4, 0.75, 8), maxK = 3)).stats
+    assert(s.totalEvents == 36 && s.candidateEvents == 33)
+    assert(s.candidateGroups.toMap == Map(2 -> 264, 3 -> 288))
+    assert(s.candidatePatterns.toMap == Map(2 -> 265, 3 -> 288))
+    assert(s.relationChecks == 621397)
+    assert(s.occurrences == 314585)
+    assert(s.peakEntries == 597546)
   }
 }

@@ -68,6 +68,28 @@ class STPMSpec extends AnyFunSuite {
     assert(selfFollows.get.support == Vector(1, 2, 5, 6))
   }
 
+  test("self-extension (ek == the group's last event) at levels 2 and 3 equals the reference miner") {
+    // Active granules hold three X:1 runs ("1,0,1,0,1"), and Y:1 spans
+    // positions 2-4: groups (X:1, X:1), (X:1, X:1, X:1) and (X:1, X:1, Y:1).
+    val on = Vector("1", "0", "1", "0", "1"); val off = Vector.fill(5)("0")
+    val active = Set(1, 2, 3, 7, 8, 9)
+    val syb = SymbolicDB(Vector(
+      SymbolicSeries("X", (1 to 12).toVector.flatMap(g => if (active(g)) on else off)),
+      SymbolicSeries("Y", (1 to 12).toVector.flatMap(g => if (active(g)) Vector("0", "1", "1", "1", "0") else off))))
+    val db = SequenceDB.build(syb, 5)
+    val cfg = STPMConfig(SeasonCfg(2, 2, 1, 10, 2), maxK = 3)
+    val hlh1 = HLH1.build(db, cfg.season, apriori = true)
+    val x = hlh1.candidates.indexOf(Event("X", "1"))
+    val h2 = STPM.mineLevel(hlh1, hlh1, cfg, new MiningStats)
+    val h3 = STPM.mineLevel(hlh1, h2, cfg, new MiningStats)
+    assert(h2.groups.exists(_.group.toVector == Vector(x, x)))
+    assert(h3.groups.exists(_.group.toVector == Vector(x, x, x)))
+    def table(ps: Vector[FrequentPattern]) = ps.map(p => p.key -> ((p.support, p.seasons))).toMap
+    val mined = table(STPM.mine(db, cfg).frequent)
+    assert(mined.keySet.exists(_.events == Vector.fill(3)(Event("X", "1"))))
+    assert(mined == table(ReferenceMiner.mine(db, cfg.season, cfg.rel, 3)))
+  }
+
   test("3-event patterns are found with consistent sub-patterns") {
     // Staggered spans in active granules (two seasons: {1,2,3}, {7,8,9}).
     val activeGranules = Set(1, 2, 3, 7, 8, 9)
@@ -216,17 +238,5 @@ class STPMSpec extends AnyFunSuite {
       for (fp <- res.frequent)
         assert(Seasonality.isFrequentSeasonal(fp.support, lenient))
     }
-  }
-
-  test("intersectSorted and indexOfSorted basics") {
-    def intersect(a: Vector[Int], b: Vector[Int]) = STPM.intersectSorted(a.toArray, b.toArray).toVector
-    def indexOf(v: Vector[Int], x: Int) = STPM.indexOfSorted(v.toArray, x)
-    assert(intersect(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
-    assert(intersect(Vector.empty, Vector(1)) == Vector.empty)
-    assert(indexOf(Vector(1, 3, 5), 3) == 1)
-    assert(indexOf(Vector(1, 3, 5), 1) == 0)
-    assert(indexOf(Vector(1, 3, 5), 5) == 2)
-    assert(indexOf(Vector(1, 3, 5), 4) == -1)
-    assert(indexOf(Vector.empty, 1) == -1)
   }
 }

@@ -239,6 +239,33 @@ class SparkSTPMSpec extends SparkSpec {
     }
   }
 
+  test("groups extended from several parent patterns mine alike inline, pooled and on Spark") {
+    // Level-2 groups holding two or more candidate patterns, each walked
+    // on its own by the kernel, whose level-3 extensions keep patterns of
+    // two parents (the first relation code is the parent's).
+    val db = TestData.randomDb(4, 90, 3, 2L)
+    for (maxK <- Seq(3, 4); apriori <- Seq(true, false)) {
+      val cfg = STPMConfig(TestData.lenient, maxK = maxK, apriori = apriori)
+      val hlh1 = HLH1.build(db, cfg.season, cfg.apriori)
+      val h3 = STPM.mineLevel(hlh1, STPM.mineLevel(hlh1, hlh1, cfg, new MiningStats), cfg, new MiningStats)
+      val multi = h3.groups.filter(_.patterns.map(_.rels(0)).distinct.length >= 2)
+      assert(multi.nonEmpty, s"maxK=$maxK apriori=$apriori")
+      val inline = STPM.mineFiltered(db, cfg, None, None, STPM.inline)
+      val pooled = STPM.mine(db, cfg)
+      val dist = SparkSTPM.mine(spark, db, cfg, parallelism = 4)
+      for (other <- Seq(pooled, dist)) {
+        assert(other.frequent == inline.frequent, s"maxK=$maxK apriori=$apriori")
+        assert(other.stats.toString == inline.stats.toString, s"maxK=$maxK apriori=$apriori")
+      }
+      if (maxK == 3) {
+        val multiKeys = multi.flatMap(gm => gm.patterns.map(p => hlh1.key(gm.group, p.rels))).toSet
+        assert(inline.frequent.exists(p => multiKeys(p.key)), s"apriori=$apriori")
+        def table(ps: Vector[FrequentPattern]) = ps.map(p => p.key -> ((p.support, p.seasons))).toMap
+        assert(table(inline.frequent) == table(ReferenceMiner.mine(db, cfg.season, cfg.rel, 3)))
+      }
+    }
+  }
+
   test("an input with no level-2 task mines to nothing, locally and on Spark") {
     val cfg = Fixtures.stpmCfg.copy(maxK = 3)
     val noEvent = cfg.copy(season = cfg.season.copy(minSeason = Fixtures.tableIV.size + 1))
