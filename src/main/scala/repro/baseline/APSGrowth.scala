@@ -1,6 +1,6 @@
 package repro.baseline
 
-import scala.collection.mutable
+import java.nio.ByteBuffer
 import repro.core._
 
 /** APS-growth: the paper's baseline (Sec. VI-A) — PS-growth adapted to
@@ -12,13 +12,15 @@ import repro.core._
   *      `>= minSeason · minDensity` — the same sound bound as STPM's
   *      maxSeason test, so the final answers coincide (DESIGN.md §4).
   *   2. Temporal patterns are enumerated from the recurring groups by raw
-  *      per-granule instance cross-products — *without* STPM's pattern-level
+  *      per-granule instance tuples over HLH_1 (built without pruning) and
+  *      the mining kernel's pair code — *without* STPM's pattern-level
   *      maxSeason pruning, transitivity filtering, or occurrence reuse —
   *      then the exact frequent-seasonal check is applied.
   *
   * The baseline therefore returns the same frequent seasonal patterns as
   * E-STPM while paying tree construction plus unpruned relation
-  * enumeration — the cost profile the paper compares against.
+  * enumeration — the cost profile the paper compares against. It runs on
+  * the calling thread.
   */
 object APSGrowth {
 
@@ -38,58 +40,73 @@ object APSGrowth {
     val bySize: Map[Int, Vector[Vector[Event]]] =
       recurring.map(_.itemset).groupBy(_.size).view.mapValues(_.distinct).toMap
 
-    // Instance index (the baseline's replacement for HLH1).
-    val supIdx = mutable.HashMap.empty[Event, Vector[Int]]
-    val instIdx = mutable.HashMap.empty[(Event, Int), Vector[Instance]]
-    for (row <- db.rows; (e, is) <- row.instances.groupBy(_.event)) {
-      supIdx.update(e, supIdx.getOrElse(e, Vector.empty) :+ row.pos)
-      instIdx.update((e, row.pos), is)
-    }
+    // Every event's support set and instances; event ids ascend with
+    // events, so a sorted multiset maps to sorted ids.
+    val hlh1 = HLH1.build(db, season, apriori = false)
+    val id = hlh1.candidates.zipWithIndex.toMap
 
-    var relationChecks = 0L
-    var multisetsTried = 0L
+    var relationChecks, multisetsTried = 0L
     val frequent = Vector.newBuilder[FrequentPattern]
     val stats = new MiningStats
-    stats.totalEvents = db.allEvents.size
+    stats.totalEvents = hlh1.totalEvents
 
     // Singleton events: exact seasonal check over real support sets.
-    for (items <- bySize.getOrElse(1, Vector.empty); e = items.head) {
-      val sup = supIdx.getOrElse(e, Vector.empty)
-      for (seasons <- Seasonality.frequentSeasons(sup, season))
-        frequent += FrequentPattern(PatternKey.single(e), sup, seasons)
-    }
-    stats.candidateEvents = bySize.getOrElse(1, Vector.empty).size
+    val singles = bySize.getOrElse(1, Vector.empty)
+    for (items <- singles; e = id(items.head))
+      frequent ++= hlh1.frequent(Array(e), Array.emptyByteArray, hlh1.support(e), season)
+    stats.candidateEvents = singles.size
 
     // Phase 2 — k-event patterns from multiset expansions of recurring sets.
     for (k <- 2 to cfg.maxK) {
       val multisets = expandMultisets(bySize, k)
-      val perPattern = mutable.LinkedHashMap.empty[PatternKey, Vector[Int]]
+      val pairs = PatternKey.pairOrder(k)
+      var patterns = 0
       for (ms <- multisets) {
         multisetsTried += 1
-        val mult = ms.groupBy(identity).view.mapValues(_.size).toMap
-        val baseSup = ms.distinct.map(e => supIdx.getOrElse(e, Vector.empty).toArray)
-          .reduce(intersectSorted)
-        val sup = baseSup.filter(g =>
-          mult.forall { case (e, m) => instIdx.getOrElse((e, g), Vector.empty).size >= m })
-        if (sup.size >= minCount) {
+        val group = ms.map(id).toArray
+        // The granules where each event has an instance per slot.
+        val sup = hlh1.support(group(0)).filter { g =>
+          group.forall { e => val at = hlh1.index(e); at(g + 1) - at(g) >= group.count(_ == e) }
+        }
+        if (sup.length >= minCount) {
+          val tuple = new Array[Int](k) // instance indexes into hlh1.granules(g - 1)
+          val rels = new Array[Byte](pairs.size)
+          val probe = ByteBuffer.wrap(rels) // hashes and compares `rels` as it is now
+          val byRels = new java.util.LinkedHashMap[ByteBuffer, PatternBuf]
           for (g <- sup) {
-            val perEvent: Vector[Vector[Vector[Instance]]] = ms.distinct.map { e =>
-              combinations(instIdx((e, g)), mult(e))
-            }
-            for (pick <- cross(perEvent)) {
-              val tuple = ms.distinct.zip(pick).flatMap { case (_, is) => is }
-              relationChecks += tuple.size.toLong * (tuple.size - 1) / 2
-              val key = PatternKey.ofOccurrence(ms, tuple, cfg.rel)
-              val cur = perPattern.getOrElse(key, Vector.empty)
-              if (cur.isEmpty || cur.last != g) perPattern.update(key, cur :+ g)
-            }
+            val inst = hlh1.granules(g - 1)
+            // Every tuple from slot s on, a repeated event's instances
+            // ascending; a complete one is coded pair by pair and keys its
+            // pattern. Nothing is allocated per tuple.
+            def fill(s: Int): Unit =
+              if (s == k) {
+                var p = 0
+                while (p < rels.length) {
+                  rels(p) = Relations.pairCode(inst, tuple(pairs(p)._1), tuple(pairs(p)._2), cfg.rel).toByte
+                  p += 1
+                }
+                relationChecks += rels.length
+                var b = byRels.get(probe)
+                if (b == null) { b = new PatternBuf(rels.clone(), keepOcc = false); byRels.put(ByteBuffer.wrap(b.rels), b) }
+                b.add(g, tuple, 0, 0, 0)
+              } else {
+                val e = group(s)
+                val at = hlh1.index(e)
+                var x = at(g)
+                while (x < at(g + 1)) {
+                  tuple(s) = hlh1.groups(e).patterns(0).occ(x)
+                  if (s == 0 || group(s - 1) != e || tuple(s - 1) < tuple(s)) fill(s + 1)
+                  x += 1
+                }
+              }
+            fill(0)
           }
+          patterns += byRels.size
+          byRels.values.forEach(b => frequent ++= hlh1.frequent(group, b.rels, b.result().support, season))
         }
       }
       stats.candidateGroups.update(k, multisets.size)
-      stats.candidatePatterns.update(k, perPattern.size)
-      for ((p, sup) <- perPattern; seasons <- Seasonality.frequentSeasons(sup, season))
-        frequent += FrequentPattern(p, sup, seasons)
+      stats.candidatePatterns.update(k, patterns)
     }
     stats.relationChecks = relationChecks
     stats.peakEntries = psStats.treeNodesBuilt
@@ -116,26 +133,4 @@ object APSGrowth {
     if (parts == 1) { if (n >= 1) Vector(Vector(n)) else Vector.empty }
     else (1 to n - parts + 1).toVector
       .flatMap(h => compositions(n - h, parts - 1).map(h +: _))
-
-  /** Ascending m-combinations of an instance list (canonical slot order). */
-  private def combinations(is: Vector[Instance], m: Int): Vector[Vector[Instance]] =
-    is.sorted(Instance.ordering).combinations(m).toVector
-
-  /** Cross product of per-event instance selections. */
-  private def cross[A](xs: Vector[Vector[A]]): Vector[Vector[A]] =
-    xs.foldLeft(Vector(Vector.empty[A])) { (acc, choices) =>
-      for (a <- acc; c <- choices) yield a :+ c
-    }
-
-  /** Merge-intersection of two sorted granule arrays. */
-  private[baseline] def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new mutable.ArrayBuilder.ofInt
-    var i, j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out.addOne(a(i)); i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    out.result()
-  }
 }

@@ -16,7 +16,7 @@ object ASTPM {
       correlatedPairs: Set[(String, String)],
       allSeries: Vector[String],
       keptSeries: Set[String],
-      nmiMillis: Long,
+      nmiMillis: Double,
       muBySeriesPair: Map[(String, String), Double],
       nmiBySeriesPair: Map[(String, String), Double]) {
 
@@ -52,7 +52,7 @@ object ASTPM {
       nmis += ((x.id, y.id) -> t.minNmi)
       if (t.minNmi >= mu) correlated += ((x.id, y.id))
     }
-    val nmiMillis = (System.nanoTime() - t0) / 1000000L
+    val nmiMillis = (System.nanoTime() - t0) / 1e6
     val corr = correlated.result()
     val kept: Set[String] = corr.flatMap(p => Set(p._1, p._2))
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** HLH_k (Sec. IV-D, Fig. 5), integer-encoded, as one table: each candidate
@@ -38,7 +39,7 @@ final class HLH1 private (val candidates: Vector[Event], val granules: Array[Arr
     * Built on first use and never serialized, so the `Level` broadcast
     * does not carry it.
     */
-  @transient private[core] lazy val index: Array[Array[Int]] = groups.iterator.map { gm =>
+  @transient private[repro] lazy val index: Array[Array[Int]] = groups.iterator.map { gm =>
     val p = gm.patterns(0)
     val at = new Array[Int](granules.length + 2)
     var j = 0
@@ -65,6 +66,15 @@ final class HLH1 private (val candidates: Vector[Event], val granules: Array[Arr
   /** The output key of a pattern of `group` with relation codes `rels`. */
   def key(group: Array[Int], rels: Array[Byte]): PatternKey =
     PatternKey.decode(group.toVector.map(candidates), rels)
+
+  /** The pattern of `group` with relation codes `rels` and support set
+    * `support`, if it is frequent seasonal; its key and seasons are built
+    * only then.
+    */
+  def frequent(group: Array[Int], rels: Array[Byte], support: Array[Int], cfg: SeasonCfg): Option[FrequentPattern] =
+    if (!Seasonality.isFrequentSeasonal(support, cfg)) None
+    else Some(FrequentPattern(key(group, rels), support.toVector,
+      Seasonality.seasonsOf(ArraySeq.unsafeWrapArray(support), cfg)))
 
   /** Per event, support size + instance count. */
   override def entryCount: Long = groups.iterator.map(g => g.sup.length.toLong + g.patterns(0).occ.length).sum
@@ -134,7 +144,7 @@ object HLH1 {
   * only the support set is kept: the result's offsets are all 0 and it
   * holds no tuples. (`addOne`, not `+=`, which would box each Int.)
   */
-private[core] final class PatternBuf(rels: Array[Byte], keepOcc: Boolean = true) {
+private[repro] final class PatternBuf(val rels: Array[Byte], keepOcc: Boolean = true) {
   private var sup = new Array[Int](4)
   private val occOff, occ = new mutable.ArrayBuilder.ofInt
   private var size, last, tuples = 0

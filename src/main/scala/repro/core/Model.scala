@@ -52,14 +52,6 @@ object Instance {
       c
     }
   }
-
-  /** Relation-orientation order: start ascending, then end *descending*,
-    * then event. On a start tie the longer (containing) instance is the
-    * relation's left operand — matching the paper's Table IV examples
-    * (e.g. M:1 ≽ N:1 at H1 where both instances start at G1).
-    */
-  val orientationOrdering: Ordering[Instance] =
-    Ordering.by((i: Instance) => (i.start, -i.end, i.event.series, i.event.symbol))
 }
 
 /** One row of the temporal sequence database (Def. 3.13): the coarse

@@ -49,24 +49,5 @@ object PatternKey {
   def decode(events: Vector[Event], rels: Array[Byte]): PatternKey =
     PatternKey(events, rels.iterator.map(c => (Rel.all(c >> 1), (c & 1) == 1)).toVector)
 
-  /** Pattern of one occurrence: `tuple` holds one instance per slot of the
-    * canonical `events` vector (instances of a duplicated event in
-    * ascending order). Produces keys identical to STPM's incremental
-    * construction — the baseline and the tests rely on this.
-    */
-  def ofOccurrence(events: Vector[Event], tuple: Vector[Instance],
-                   rel: Relations.RelCfg): PatternKey = {
-    require(events.size == tuple.size, "tuple must align with slots")
-    require(events.zip(tuple).forall { case (e, i) => i.event == e },
-      "instances must match their slots")
-    val rels = pairOrder(events.size).map { case (i, j) =>
-      val (first, _, r) = Relations.orientAndRelate(tuple(i), tuple(j), rel)
-      // Same-event slot pairs canonicalize to flag = true, exactly as the
-      // incremental construction in STPM does.
-      (r, events(i) == events(j) || first == tuple(i))
-    }
-    PatternKey(events, rels)
-  }
-
   implicit val ordering: Ordering[PatternKey] = Ordering.by(_.render)
 }

@@ -23,8 +23,8 @@ object Rel {
   *
   * The paper's `± ε` endpoints are resolved into one total, mutually
   * exclusive decision procedure over the *chronologically first* instance
-  * `a` and second instance `b` (first = smaller start; ties by end, then
-  * event id — [[Instance.ordering]]):
+  * `a` and second instance `b` (first = smaller start; on a start tie the
+  * longer, then the smaller event id — [[Relations.pairCode]]):
   *
   *   - Contains  iff  b.end <= a.end + ε          (b ends inside a, ε slack)
   *   - Overlaps  iff  not Contains and the shared span
@@ -56,13 +56,17 @@ object Relations {
   def relate(a: Interval, b: Interval, cfg: RelCfg = RelCfg()): Rel =
     relate(a.start, a.end, b.start, b.end, cfg)
 
-  /** Orient two instances and relate them. Orientation follows
-    * [[Instance.orientationOrdering]]: earlier start first; on a start tie
-    * the longer (containing) instance first. Returns (first, second,
-    * relation).
+  /** The [[PatternKey.decode]] code of slot pair (a, b), instances of
+    * `inst` (an [[HLH1.granules]] row) with a's event id <= b's: the
+    * relation from the one that starts first (on a start tie the longer,
+    * then a), flagged if that is a or both are one event. Both miners code
+    * every slot pair with it.
     */
-  def orientAndRelate(x: Instance, y: Instance, cfg: RelCfg = RelCfg()): (Instance, Instance, Rel) = {
-    val (a, b) = if (Instance.orientationOrdering.lteq(x, y)) (x, y) else (y, x)
-    (a, b, relate(a.interval, b.interval, cfg))
+  private[repro] def pairCode(inst: Array[Int], a: Int, b: Int, cfg: RelCfg): Int = {
+    val aS = inst(3 * a + 1); val aE = inst(3 * a + 2)
+    val bS = inst(3 * b + 1); val bE = inst(3 * b + 2)
+    val aFirst = aS < bS || aS == bS && aE >= bE
+    val rel = if (aFirst) relate(aS, aE, bS, bE, cfg) else relate(bS, bE, aS, aE, cfg)
+    2 * rel.ordinal + (if (aFirst || inst(3 * a) == inst(3 * b)) 1 else 0)
   }
 }

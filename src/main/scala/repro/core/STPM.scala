@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.concurrent.{Callable, ExecutionException, LinkedBlockingQueue, ThreadPoolExecutor, TimeUnit}
 import scala.annotation.tailrec
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import repro.core.Relations.RelCfg
@@ -140,11 +139,17 @@ object STPM {
     // Step 2.1 — frequent seasonal single events (Alg. 1 lines 1–9).
     val hlh1 = HLH1.build(db, cfg.season, cfg.apriori, e => seriesFilter.forall(_(e.series)))
     stats.totalEvents = hlh1.totalEvents
-    // Keys, events and instances are built only for frequent patterns.
+    // A while loop: a closure per group would allocate until the JIT
+    // removes it, and allocation per op would drift from op to op.
     def emit(level: HLHk): Unit =
-      for (gm <- level.groups; p <- gm.patterns if Seasonality.isFrequentSeasonal(p.support, cfg.season))
-        frequent += FrequentPattern(hlh1.key(gm.group, p.rels), p.support.toVector,
-          Seasonality.seasonsOf(ArraySeq.unsafeWrapArray(p.support), cfg.season))
+      for (gm <- level.groups) {
+        var i = 0
+        while (i < gm.patterns.length) {
+          val p = gm.patterns(i)
+          frequent ++= hlh1.frequent(gm.group, p.rels, p.support, cfg.season)
+          i += 1
+        }
+      }
     stats.candidateEvents = hlh1.candidates.size
     emit(hlh1)
     stats.noteEntries(hlh1.entryCount)
@@ -194,9 +199,16 @@ object STPM {
     // level 3, the codes of candidate 2-patterns; deeper, the group-level
     // test (cheaper, still sound): every code iff the pair's support passes.
     val pairRels = new Array[Int](if (iterative) n * n else 0)
+    // (A while loop, as in `mineFiltered`'s `emit`.)
     if (iterative && k == 3)
-      for (gm <- prev.groups; p <- gm.patterns if candidate(p.support, p.support.length, cfg))
-        pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
+      for (gm <- prev.groups) {
+        var i = 0
+        while (i < gm.patterns.length) {
+          val p = gm.patterns(i)
+          if (candidate(p.support, p.support.length, cfg)) pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
+          i += 1
+        }
+      }
     else if (iterative)
       for (e0 <- 0 until n; e1 <- e0 until n; sup = hlh1.restrict(hlh1.support(e0), e1)
            if candidate(sup, sup.length, cfg))
@@ -278,7 +290,7 @@ object STPM {
                 while (s >= 0 && s < w) {
                   checks += 1
                   val a = p.occ(o + s)
-                  val c = pairCode(inst, a, ei, cfg.rel)
+                  val c = Relations.pairCode(inst, a, ei, cfg.rel)
                   code = code * 6 + c
                   s = if (pairRels.isEmpty || (pairRels(inst(3 * a) * n + ek) >>> c & 1) != 0) s + 1 else -1
                 }
@@ -304,18 +316,6 @@ object STPM {
     val candidates = bufs.iterator.filter(b => admitted(b.granules, b.supportSize, cfg)).map(_.result()).toArray
       .sortBy(_.support(0))
     Some(new GroupMined(parentGroup.group :+ ek, sup, candidates, checks, occurrences))
-  }
-
-  /** The [[PatternKey.decode]] code of slot pair (a, b), instances of `inst`
-    * with a's event id <= b's: the relation from the one first in
-    * [[Instance.orientationOrdering]]; flagged if a is it or both are one event.
-    */
-  private def pairCode(inst: Array[Int], a: Int, b: Int, cfg: RelCfg): Int = {
-    val aS = inst(3 * a + 1); val aE = inst(3 * a + 2)
-    val bS = inst(3 * b + 1); val bE = inst(3 * b + 2)
-    val aFirst = aS < bS || aS == bS && aE >= bE
-    val rel = if (aFirst) Relations.relate(aS, aE, bS, bE, cfg) else Relations.relate(bS, bE, aS, aE, cfg)
-    2 * rel.ordinal + (if (aFirst || inst(3 * a) == inst(3 * b)) 1 else 0)
   }
 
   /** The parent's relation codes, then the `w` packed base 6 in `code`. */

@@ -134,16 +134,8 @@ object Seasonality {
     }
   }
 
-  /** Full frequent-seasonal check for one support set (Def. 3.17). Returns
-    * the chained seasons if frequent (built only then), None otherwise.
-    */
-  def frequentSeasons(support: IndexedSeq[Int], cfg: SeasonCfg): Option[Vector[NearSupport]] =
-    if (isFrequentSeasonal(support, cfg)) Some(seasonsOf(support, cfg)) else None
-
-  def isFrequentSeasonal(support: IndexedSeq[Int], cfg: SeasonCfg): Boolean =
-    isFrequentSeasonal(support.toArray, cfg)
-
-  /** `seasonCount(seasonsOf(support, cfg), cfg) >= minSeason` in one pass,
+  /** The frequent-seasonal check of one support set (Def. 3.17):
+    * `seasonCount(seasonsOf(support, cfg), cfg) >= minSeason` in one pass,
     * allocating nothing: each dense enough near support set is a season,
     * and extends the chain if its distance to the previous one is in range.
     */

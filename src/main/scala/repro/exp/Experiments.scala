@@ -195,9 +195,9 @@ object Experiments {
       val cfg = STPMConfig(cfgOf(db.size, n, 0.4, 0.75, ms), maxK = maxK)
       val (a, aMs) = median5(ASTPM.mine(syb, db, cfg))
       val (e, eMs) = median5(STPM.mine(db, cfg))
-      val (b, bMs) = timed(APSGrowth.mine(db, cfg)) // one run: 12-28 s each
+      val (b, bMs) = median5(APSGrowth.mine(db, cfg))
       Vector(n, ms.toString,
-        aMs.toString, s"${a.nmiMillis}", eMs.toString, bMs.toString,
+        aMs.toString, f"${a.nmiMillis}%.1f", eMs.toString, bMs.toString,
         a.mining.stats.peakEntries.toString, e.stats.peakEntries.toString,
         b._1.stats.peakEntries.toString,
         a.mining.frequent.size.toString, e.frequent.size.toString,
@@ -212,7 +212,8 @@ object Experiments {
         "APS-growth ms", "A entries", "E entries", "APS entries",
         "A #pat", "E #pat", "APS #pat"),
       rows,
-      Vector("APS-growth entries = PS-tree nodes built", "A-STPM, E-STPM ms: median of 5 runs; APS-growth ms: 1 run",
+      Vector("APS-growth entries = PS-tree nodes built", "ms: median of 5 runs",
+        s"threads: E-STPM and A-STPM on a pool of ${sys.runtime.availableProcessors}, APS-growth on the calling thread",
         s"JVM max heap ${sys.runtime.maxMemory >> 20} MB, ${sys.runtime.availableProcessors} available processors"))
   }
 

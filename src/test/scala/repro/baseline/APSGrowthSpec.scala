@@ -53,6 +53,39 @@ class APSGrowthSpec extends AnyFunSuite {
       s"baseline=${stats.relationChecks} estpm=${exact.stats.relationChecks}")
   }
 
+  /** APS-growth's work counters. Phase 2 counts k(k-1)/2 relation checks
+    * per complete instance tuple, so they do not depend on how instances
+    * are stored.
+    */
+  private def assertWork(db: SeqDB, cfg: STPMConfig, checks: Long, multisets: Long, groups: Map[Int, Int],
+                         patterns: Map[Int, Int], events: (Int, Int), peakEntries: Long): Unit = {
+    val (res, stats) = APSGrowth.mine(db, cfg)
+    val s = res.stats
+    assert(stats.relationChecks == checks && s.relationChecks == checks, s"$s")
+    assert(stats.multisetsTried == multisets, s"$s")
+    assert(s.candidateGroups.toMap == groups && s.candidatePatterns.toMap == patterns, s"$s")
+    assert((s.candidateEvents, s.totalEvents) == events && s.peakEntries == peakEntries, s"$s")
+  }
+
+  test("work counters are pinned on the running example") {
+    assertWork(Fixtures.tableIV, Fixtures.stpmCfg.copy(maxK = 3), checks = 1258, multisets = 139,
+      groups = Map(2 -> 34, 3 -> 105), patterns = Map(2 -> 53, 3 -> 143), events = (8, 10), peakEntries = 119)
+  }
+
+  test("work counters are pinned on a random database") {
+    assertWork(randomDb(3, 90, 3, 17L), STPMConfig(lenient, maxK = 3), checks = 894, multisets = 70,
+      groups = Map(2 -> 20, 3 -> 50), patterns = Map(2 -> 41, 3 -> 106), events = (6, 6), peakEntries = 43)
+  }
+
+  test("an empty database and one with no candidate event mine to nothing") {
+    val cfg = Fixtures.stpmCfg.copy(maxK = 3)
+    val noEvent = cfg.copy(season = cfg.season.copy(minSeason = Fixtures.tableIV.size + 1))
+    for ((db, c) <- Seq((SeqDB(1, Vector.empty), cfg), (Fixtures.tableIV, noEvent))) {
+      val (res, stats) = APSGrowth.mine(db, c)
+      assert(res.frequent.isEmpty && stats.relationChecks == 0, s"${res.stats}")
+    }
+  }
+
   test("multiset expansion: sets, self-pairs and triples") {
     def e(s: String) = Event.parse(s)
     val bySize = Map(
@@ -73,11 +106,5 @@ class APSGrowthSpec extends AnyFunSuite {
     assert(APSGrowth.compositions(3, 2).toSet == Set(Vector(1, 2), Vector(2, 1)))
     assert(APSGrowth.compositions(3, 3) == Vector(Vector(1, 1, 1)))
     assert(APSGrowth.compositions(2, 3).isEmpty)
-  }
-
-  test("intersectSorted basics") {
-    def intersect(a: Vector[Int], b: Vector[Int]) = APSGrowth.intersectSorted(a.toArray, b.toArray).toVector
-    assert(intersect(Vector(1, 3, 5, 7), Vector(3, 4, 5, 9)) == Vector(3, 5))
-    assert(intersect(Vector.empty, Vector(1)) == Vector.empty)
   }
 }

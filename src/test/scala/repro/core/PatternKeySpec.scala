@@ -39,21 +39,21 @@ class PatternKeySpec extends AnyFunSuite {
       Instance(A, Interval(1, 4)),
       Instance(B, Interval(2, 3)),
       Instance(C, Interval(6, 8)))
-    val key = PatternKey.ofOccurrence(Vector(A, B, C), t, RelCfg())
+    val key = OccurrenceKey.ofOccurrence(Vector(A, B, C), t, RelCfg())
     // A contains B; A follows C; B follows C.
     assert(key.render == "<(A:1 >= B:1), (A:1 -> C:1), (B:1 -> C:1)>")
   }
 
   test("ofOccurrence orients by instance time, not slot order") {
     val t = Vector(Instance(A, Interval(5, 6)), Instance(B, Interval(1, 2)))
-    val key = PatternKey.ofOccurrence(Vector(A, B), t, RelCfg())
+    val key = OccurrenceKey.ofOccurrence(Vector(A, B), t, RelCfg())
     assert(key.render == "<(B:1 -> A:1)>")
     assert(key.rels == Vector((Rel.Follows, false)))
   }
 
   test("ofOccurrence validates slot alignment") {
     intercept[IllegalArgumentException](
-      PatternKey.ofOccurrence(Vector(A, B), Vector(Instance(B, Interval(1, 1)),
+      OccurrenceKey.ofOccurrence(Vector(A, B), Vector(Instance(B, Interval(1, 1)),
         Instance(A, Interval(2, 2))), RelCfg()))
   }
 

@@ -6,7 +6,7 @@ import repro.core.Relations.RelCfg
 /** Brute-force seasonal temporal pattern miner for k <= 3, straight from
   * the definitions (Defs. 3.10–3.17) — the oracle the mining kernels are
   * checked against. It shares no mining code with them: no HLH, no
-  * pruning, no incremental keys and no `PatternKey.ofOccurrence`.
+  * pruning, no incremental keys and no `OccurrenceKey.ofOccurrence`.
   *
   * Per granule, every set of k distinct instances is one occurrence of
   * exactly one k-pattern: its slots are the instances sorted by event

@@ -51,7 +51,7 @@ class RelationsSpec extends AnyFunSuite with PropSupport {
   test("orientAndRelate orders the operands") {
     val x = Instance(Event("A", "1"), Interval(5, 6))
     val y = Instance(Event("B", "1"), Interval(1, 2))
-    val (first, second, rel) = Relations.orientAndRelate(x, y, cfg0)
+    val (first, second, rel) = OccurrenceKey.orientAndRelate(x, y, cfg0)
     assert(first == y && second == x && rel == Rel.Follows)
   }
 
@@ -60,21 +60,21 @@ class RelationsSpec extends AnyFunSuite with PropSupport {
     // G1, the longer instance is the relation's left operand.
     val m = Instance(Event("M", "1"), Interval(1, 3))
     val n = Instance(Event("N", "1"), Interval(1, 2))
-    val (first, second, rel) = Relations.orientAndRelate(n, m, cfg0)
+    val (first, second, rel) = OccurrenceKey.orientAndRelate(n, m, cfg0)
     assert(first == m && second == n && rel == Rel.Contains)
   }
 
   test("orientAndRelate: identical intervals break ties by event id") {
     val c = Instance(Event("C", "1"), Interval(4, 4))
     val d = Instance(Event("D", "1"), Interval(4, 4))
-    val (first, _, rel) = Relations.orientAndRelate(d, c, cfg0)
+    val (first, _, rel) = OccurrenceKey.orientAndRelate(d, c, cfg0)
     assert(first == c && rel == Rel.Contains)
   }
 
   test("orientAndRelate is symmetric in its arguments") {
     val x = Instance(Event("A", "1"), Interval(2, 8))
     val y = Instance(Event("B", "1"), Interval(3, 5))
-    assert(Relations.orientAndRelate(x, y, cfg0) == Relations.orientAndRelate(y, x, cfg0))
+    assert(OccurrenceKey.orientAndRelate(x, y, cfg0) == OccurrenceKey.orientAndRelate(y, x, cfg0))
   }
 
   test("property: relate is total and mutually exclusive (Property 1)") {
@@ -108,6 +108,25 @@ class RelationsSpec extends AnyFunSuite with PropSupport {
         case Rel.Contains => a.start <= b.start && a.end >= b.end
         case Rel.Overlaps => a.end < b.end && a.end - b.start + 1 >= 1
       }
+    })
+  }
+
+  test("property: pairCode codes a slot pair as orientAndRelate relates it") {
+    val events = Vector(Event("A", "1"), Event("B", "1"))
+    val genIv = for {
+      s <- Gen.choose(1, 12)
+      d <- Gen.choose(0, 6)
+    } yield Interval(s, s + d)
+    val genCfg = for {
+      e <- Gen.choose(0, 2)
+      o <- Gen.choose(1, 3)
+    } yield RelCfg(e, o)
+    val genIds = for { ea <- Gen.choose(0, 1); eb <- Gen.choose(ea, 1) } yield (ea, eb)
+    checkProp(Prop.forAll(genIds, genIv, genIv, genCfg) { case ((ea, eb), ia, ib, cfg) =>
+      val x = Instance(events(ea), ia)
+      val (first, _, rel) = OccurrenceKey.orientAndRelate(x, Instance(events(eb), ib), cfg)
+      val inst = Array(ea, ia.start, ia.end, eb, ib.start, ib.end)
+      Relations.pairCode(inst, 0, 1, cfg) == 2 * rel.ordinal + (if (ea == eb || first == x) 1 else 0)
     })
   }
 

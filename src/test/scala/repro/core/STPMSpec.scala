@@ -123,7 +123,7 @@ class STPMSpec extends AnyFunSuite {
       val hlhk = STPM.mineLevel(hlh1, prev, cfg, stats)
       var tuples = 0
       for (p <- Decode.patterns(hlh1, hlhk); (g, occs) <- p.support.zip(p.occs); t <- occs) {
-        assert(PatternKey.ofOccurrence(p.key.events, t, cfg.rel) == p.key,
+        assert(OccurrenceKey.ofOccurrence(p.key.events, t, cfg.rel) == p.key,
           s"occurrence $t of ${p.key.render} at granule $g disagrees")
         tuples += 1
       }
@@ -236,7 +236,7 @@ class STPMSpec extends AnyFunSuite {
       val cfg = STPMConfig(lenient, rel = RelCfg(epsilon = eps), maxK = 2)
       val res = STPM.mine(db, cfg)
       for (fp <- res.frequent)
-        assert(Seasonality.isFrequentSeasonal(fp.support, lenient))
+        assert(Seasonality.isFrequentSeasonal(fp.support.toArray, lenient))
     }
   }
 }

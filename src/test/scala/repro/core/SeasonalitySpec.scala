@@ -32,8 +32,8 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
 
   test("C:1 >= D:1 is frequent seasonal under the example thresholds") {
     val sup = Vector(1, 2, 3, 7, 8, 11, 12, 14)
-    assert(Seasonality.isFrequentSeasonal(sup, cfg))
-    val Some(seasons) = Seasonality.frequentSeasons(sup, cfg)
+    assert(Seasonality.isFrequentSeasonal(sup.toArray, cfg))
+    val seasons = Seasonality.seasonsOf(sup, cfg)
     assert(Seasonality.seasonCount(seasons, cfg) == 2)
   }
 
@@ -44,14 +44,14 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     assert(seasons.map(_.granules) == Vector(Vector(1, 3, 4, 5, 6), Vector(10, 11, 13)))
     assert(Seasonality.dist(seasons(0), seasons(1)) == 4)
     assert(Seasonality.seasonCount(seasons, cfg) == 2)
-    assert(Seasonality.isFrequentSeasonal(sup, cfg))
+    assert(Seasonality.isFrequentSeasonal(sup.toArray, cfg))
   }
 
   test("paper Sec. IV-B: event M:1 has a single season — not frequent") {
     val sup = Vector(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13)
     val seasons = Seasonality.seasonsOf(sup, cfg)
     assert(seasons.size == 1)
-    assert(!Seasonality.isFrequentSeasonal(sup, cfg))
+    assert(!Seasonality.isFrequentSeasonal(sup.toArray, cfg))
   }
 
   test("distInterval breaks chains: distance outside [distMin, distMax]") {
@@ -60,7 +60,7 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     val seasons = Seasonality.seasonsOf(sup, cfg)
     assert(seasons.size == 2)
     assert(Seasonality.seasonCount(seasons, cfg) == 1)
-    assert(!Seasonality.isFrequentSeasonal(sup, cfg))
+    assert(!Seasonality.isFrequentSeasonal(sup.toArray, cfg))
   }
 
   test("longest chain is found among mixed distances") {
@@ -174,9 +174,7 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     } yield (s.distinct.sorted.toVector, SeasonCfg(maxPeriod, minDensity, distMin, distMin + width, minSeason))
     checkProp(Prop.forAll(gen) { case (sup, c) =>
       val seasons = Seasonality.seasonsOf(sup, c)
-      val definition = if (Seasonality.seasonCount(seasons, c) >= c.minSeason) Some(seasons) else None
-      Seasonality.frequentSeasons(sup, c) == definition &&
-        Seasonality.isFrequentSeasonal(sup.toArray, c) == definition.isDefined
+      Seasonality.isFrequentSeasonal(sup.toArray, c) == (Seasonality.seasonCount(seasons, c) >= c.minSeason)
     }, minTests = 500)
     intercept[IllegalArgumentException](Seasonality.isFrequentSeasonal(Array(1, 3, 3), cfg))
   }
