@@ -9,12 +9,13 @@ import repro.core._
   *   1. PS-growth mines recurring event groups over the granule-as-
   *      transaction database (one transaction per D_SEQ row, items = the
   *      events occurring in it), qualified by total occurrence count
-  *      `>= minSeason · minDensity` — the same sound bound as STPM's
-  *      maxSeason test, so the final answers coincide (DESIGN.md §4).
+  *      `>= minSeason · minDensity` — the paper's maxSeason bound, sound
+  *      and looser than STPM's candidate test, so the final answers
+  *      coincide (DESIGN.md §4).
   *   2. Temporal patterns are enumerated from the recurring groups by raw
   *      per-granule instance tuples over HLH_1 (built without pruning) and
   *      the mining kernel's pair code — *without* STPM's pattern-level
-  *      maxSeason pruning, transitivity filtering, or occurrence reuse —
+  *      candidate pruning, transitivity filtering, or occurrence reuse —
   *      then the exact frequent-seasonal check is applied.
   *
   * The baseline therefore returns the same frequent seasonal patterns as

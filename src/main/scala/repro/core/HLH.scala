@@ -83,7 +83,7 @@ final class HLH1 private (val candidates: Vector[Event], val granules: Array[Arr
 object HLH1 {
   /** One scan of D_SEQ building support sets and instance indexes for the
     * events `keep` admits, (with Apriori-like pruning) only the candidate
-    * seasonal ones: maxSeason(E) >= minSeason. Each instance's event is
+    * seasonal ones ([[Seasonality.isCandidate]]). Each instance's event is
     * hashed once, to a first-seen id that the rest of the build uses.
     */
   def build(db: SeqDB, cfg: SeasonCfg, apriori: Boolean, keep: Event => Boolean = _ => true): HLH1 = {
@@ -91,30 +91,23 @@ object HLH1 {
     // would allocate until the JIT removes it, and allocation per op
     // would drift from op to op.
     val seen = mutable.HashMap.empty[Event, Int]
+    val sups = mutable.ArrayBuffer.empty[PatternBuf] // by first-seen id, the support set
     val seenIds = db.rows.map { row =>
       val ids = new Array[Int](row.instances.size)
       var i = 0
       while (i < ids.length) {
         val e = row.instances(i).event
         ids(i) = seen.getOrElse(e, -1)
-        if (ids(i) < 0) { ids(i) = seen.size; seen(e) = ids(i) }
+        if (ids(i) < 0) { ids(i) = seen.size; seen(e) = ids(i); sups += new PatternBuf(Array.emptyByteArray, keepOcc = false) }
+        sups(ids(i)).add(row.pos, Array.emptyIntArray, 0, 0, 0)
         i += 1
       }
       ids
     }
     val events = new Array[Event](seen.size)
     for ((e, s) <- seen) events(s) = e
-    val supSize, lastPos = new Array[Int](events.length)
-    for (row <- db.rows) {
-      val ids = seenIds(row.pos - 1)
-      var i = 0
-      while (i < ids.length) {
-        if (lastPos(ids(i)) != row.pos) { lastPos(ids(i)) = row.pos; supSize(ids(i)) += 1 }
-        i += 1
-      }
-    }
-    val kept = events.indices.filter(s => keep(events(s)) && (!apriori || Seasonality.isCandidate(supSize(s), cfg)))
-      .sortBy(events)
+    val kept = events.indices.filter(s => keep(events(s)) &&
+      (!apriori || Seasonality.isCandidate(sups(s).granules, sups(s).supportSize, cfg))).sortBy(events)
     val id = Array.fill(events.length)(-1)
     for ((s, e) <- kept.zipWithIndex) id(s) = e
     val single = kept.map(_ => new PatternBuf(Array.emptyByteArray))
@@ -158,7 +151,8 @@ private[repro] final class PatternBuf(val rels: Array[Byte], keepOcc: Boolean = 
     if (g != last) {
       if (size == sup.length) sup = java.util.Arrays.copyOf(sup, 2 * size)
       sup(size) = g; size += 1
-      occOff.addOne(tuples); last = g
+      if (keepOcc) occOff.addOne(tuples)
+      last = g
     }
     if (keepOcc) {
       var s = from
@@ -169,7 +163,7 @@ private[repro] final class PatternBuf(val rels: Array[Byte], keepOcc: Boolean = 
   }
 
   def result(): MinedPattern = {
-    occOff.addOne(tuples)
-    new MinedPattern(rels, java.util.Arrays.copyOf(sup, size), occOff.result(), occ.result())
+    val off = if (keepOcc) occOff.addOne(tuples).result() else new Array[Int](size + 1)
+    new MinedPattern(rels, java.util.Arrays.copyOf(sup, size), off, occ.result())
   }
 }

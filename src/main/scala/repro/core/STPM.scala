@@ -9,9 +9,9 @@ import repro.core.Relations.RelCfg
 /** Full E-STPM configuration (Algorithm 1 + Table III knobs).
   *
   * The pruning flags realize the ablation of Sec. VI-C3: `apriori` toggles
-  * the candidate filter (Lemmas 1–2, with the season-structure bound
-  * [[Seasonality.seasonBound]] for maxSeason), `transitivity` toggles the
-  * FilteredF1 / iterative 2-pattern-existence check (Lemmas 3–4). All four
+  * the candidate filter of every level ([[Seasonality.isCandidate]], Lemmas
+  * 1–2), `transitivity` toggles the FilteredF1 / iterative
+  * 2-pattern-existence check (Lemmas 3–4). All four
   * combinations return the same frequent patterns (both prunings are sound);
   * they differ in work done.
   */
@@ -191,27 +191,30 @@ object STPM {
     // Transitivity pruning (Lemma 4): from level 3 on, only events of
     // *candidate* (k-1)-patterns extend a group — tested here, as under
     // apriori = false `prev` holds every pattern (Trans-only ablation).
-    val inCandidate = Array.fill(n)(!iterative)
-    for (gm <- prev.groups if iterative && gm.patterns.exists(p => candidate(p.support, p.support.length, cfg));
-         e <- gm.group) inCandidate(e) = true
     // The iterative check (Sec. 4.2.2) as a table: bit c of `e0 * n + e1`
     // (e0 <= e1) admits (relation, flag) code c for events (e0, e1). At
     // level 3, the codes of candidate 2-patterns; deeper, the group-level
     // test (cheaper, still sound): every code iff the pair's support passes.
+    // One pass over `prev` decides each pattern's candidacy for both.
+    // (While loops, as in `mineFiltered`'s `emit`.)
+    val inCandidate = Array.fill(n)(!iterative)
     val pairRels = new Array[Int](if (iterative) n * n else 0)
-    // (A while loop, as in `mineFiltered`'s `emit`.)
-    if (iterative && k == 3)
+    if (iterative)
       for (gm <- prev.groups) {
         var i = 0
         while (i < gm.patterns.length) {
           val p = gm.patterns(i)
-          if (candidate(p.support, p.support.length, cfg)) pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
+          if (Seasonality.isCandidate(p.support, p.support.length, cfg.season)) {
+            var j = 0
+            while (j < gm.group.length) { inCandidate(gm.group(j)) = true; j += 1 }
+            if (k == 3) pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
+          }
           i += 1
         }
       }
-    else if (iterative)
+    if (iterative && k > 3)
       for (e0 <- 0 until n; e1 <- e0 until n; sup = hlh1.restrict(hlh1.support(e0), e1)
-           if candidate(sup, sup.length, cfg))
+           if Seasonality.isCandidate(sup, sup.length, cfg.season))
         pairRels(e0 * n + e1) = -1
     // Canonical extension only; ek == last repeats an event (at level 2,
     // the self-pairs).
@@ -231,18 +234,11 @@ object STPM {
     new HLHk(k, groups.result())
   }
 
-  /** The candidate test of a support set `sup(0 until n)`: its season
-    * bound reaches minSeason (Sec. IV-B, with [[Seasonality.seasonBound]]
-    * for maxSeason).
-    */
-  private def candidate(sup: Array[Int], n: Int, cfg: STPMConfig): Boolean =
-    Seasonality.seasonBound(sup, n, cfg.season) >= cfg.season.minSeason
-
   /** Admits a group or pattern: a candidate under Apriori-like pruning,
     * otherwise any non-empty support set.
     */
   private def admitted(sup: Array[Int], n: Int, cfg: STPMConfig): Boolean =
-    if (cfg.apriori) candidate(sup, n, cfg) else n > 0
+    if (cfg.apriori) Seasonality.isCandidate(sup, n, cfg.season) else n > 0
 
   /** The group-mining kernel (Sec. IV-D 4.2): extend `parentGroup` by
     * event id `ek`, or None if the new group's support is not admitted. Each

@@ -41,34 +41,29 @@ final case class NearSupport(granules: Vector[Int]) {
   def last: Int = granules.last
 }
 
-/** Season arithmetic (Defs. 3.14–3.17), the maxSeason bound (Eq. 1) and
-  * the tighter season-structure bound the miner prunes with.
+/** Season arithmetic (Defs. 3.14–3.17) and the candidate test the miner
+  * prunes with.
   */
 object Seasonality {
 
-  /** maxSeason (Eq. 1): anti-monotone upper bound on seasons(P). */
-  def maxSeason(supportSize: Int, minDensity: Int): Double =
-    supportSize.toDouble / minDensity
-
-  /** The paper's candidate test (Sec. IV-B): maxSeason >= minSeason.
-    * HLH_1 keeps the events it admits; longer patterns use [[seasonBound]].
+  /** The candidate test of Apriori-like pruning (Sec. IV-B, Lemmas 1–2)
+    * for the support set `support(0 until n)`: its [[seasonBound]] reaches
+    * minSeason. Every HLH level, HLH_1 included, admits by it.
     */
-  def isCandidate(supportSize: Int, cfg: SeasonCfg): Boolean =
-    maxSeason(supportSize, cfg.minDensity) >= cfg.minSeason
+  def isCandidate(support: Array[Int], n: Int, cfg: SeasonCfg): Boolean =
+    seasonBound(support, n, cfg) >= cfg.minSeason
 
   /** An upper bound on seasons(P′) (Def. 3.17) for every P′ whose support
-    * set is a subset of `support`, P itself included; never above
-    * ⌊maxSeason⌋, and anti-monotone as Apriori-like pruning needs
-    * (DESIGN.md §1). One pass, allocating nothing: the near support sets
-    * (Def. 3.15) are cut into stretches wherever the gap between two
-    * neighbours exceeds distMax, and the bound is the largest stretch sum
-    * of ⌊|NS| / minDensity⌋. A near support set of SUP′ lies inside one of
-    * SUP, which holds at most ⌊|NS| / minDensity⌋ disjoint seasons, and no
-    * chain of seasons crosses a cut.
+    * set is a subset of `support(0 until n)`, P itself included; never
+    * above the paper's maxSeason = ⌊n / minDensity⌋ (Eq. 1), and
+    * anti-monotone as Apriori-like pruning needs (DESIGN.md §1). One pass,
+    * allocating nothing: the near support sets (Def. 3.15) are cut into
+    * stretches wherever the gap between two neighbours exceeds distMax,
+    * and the bound is the largest stretch sum of ⌊|NS| / minDensity⌋. A
+    * near support set of SUP′ lies inside one of SUP, which holds at most
+    * ⌊|NS| / minDensity⌋ disjoint seasons, and no chain of seasons crosses
+    * a cut.
     */
-  def seasonBound(support: Array[Int], cfg: SeasonCfg): Int = seasonBound(support, support.length, cfg)
-
-  /** [[seasonBound]] of the support set `support(0 until n)`. */
   def seasonBound(support: Array[Int], n: Int, cfg: SeasonCfg): Int = {
     var best, stretch = 0
     var i = 0

@@ -55,8 +55,8 @@ object SeasonalGen {
     * switch between levels 0 and 1, shared by all participants of a
     * planted group — redundant co-located sensors — and independent for
     * non-participants), on top of which participants spike to level 2
-    * inside their activation slots. `flipProb` is per-slot independent
-    * background corruption; `spikeProb` gives non-participants rare,
+    * inside their activation slots. `noise` is per-slot independent
+    * background corruption; [[SpikeProb]] gives non-participants rare,
     * non-seasonal level-2 spikes so the full alphabet exists everywhere.
     *
     * This shape matters: with an iid binary background, the "low" symbol
@@ -73,15 +73,21 @@ object SeasonalGen {
       m: Int,
       planted: Vector[Planted],
       noise: Double = 0.001,
-      switchProb: Double = 0.0025,
-      switchBackProb: Double = 0.0025,
-      spikeProb: Double = 0.001,
       seed: Long = 42L) {
     require(planted.flatMap(_.participants).forall(p =>
       p.series < nSeries && p.slotFrom >= 1 && p.slotTo <= m && p.slotFrom <= p.slotTo),
       "participants out of range")
     def fineLength: Int = nCoarse * m
   }
+
+  /** Per-position probability that the background switches level, either
+    * way: blocks short relative to minSeason seasons keep background
+    * events from chaining across enough seasons to look frequent-seasonal.
+    */
+  private val SwitchProb = 0.0025
+
+  /** Per-position probability of a non-participant's level-2 spike. */
+  private val SpikeProb = 0.001
 
   /** Value levels and the matching symbolization cut points. */
   val Levels: Vector[Double] = Vector(0.15, 0.45, 0.8)
@@ -91,18 +97,15 @@ object SeasonalGen {
   def rawSeries(spec: Spec): Vector[(String, Vector[Double])] = {
     val rnd = new Random(spec.seed)
     val n = spec.fineLength
-    // One background path per planted group + one per free series.
-    // Asymmetric switch rates: level 1 occupies switchProb/(switchProb +
-    // switchBackProb) of the time (default 25%), in blocks short relative
-    // to minSeason seasons — keeping background events from chaining
-    // across enough seasons to look frequent-seasonal.
+    // One background path per planted group + one per free series. The
+    // switch is symmetric, so each path starts at either level with
+    // probability 1/2.
     def bgPath(): Array[Int] = {
       val a = new Array[Int](n)
-      var lvl = if (rnd.nextDouble() < spec.switchProb / (spec.switchProb + spec.switchBackProb)) 1 else 0
+      var lvl = if (rnd.nextDouble() < 0.5) 1 else 0
       var p = 0
       while (p < n) {
-        val flip = if (lvl == 0) spec.switchProb else spec.switchBackProb
-        if (rnd.nextDouble() < flip) lvl = 1 - lvl
+        if (rnd.nextDouble() < SwitchProb) lvl = 1 - lvl
         a(p) = lvl
         p += 1
       }
@@ -119,7 +122,7 @@ object SeasonalGen {
       for (p <- 0 until n) {
         val lvl =
           if (rnd.nextDouble() < spec.noise) 1 - bg(p)     // background flip
-          else if (groupOf.get(s).isEmpty && rnd.nextDouble() < spec.spikeProb) 2
+          else if (groupOf.get(s).isEmpty && rnd.nextDouble() < SpikeProb) 2
           else bg(p)
         values(s)(p) = Levels(lvl)
       }

@@ -6,9 +6,8 @@ import repro.data.SeasonalGen
 import TableResult.pct
 
 /** Experiment runners — one per evaluation table of the paper (DESIGN.md
-  * §3). Each returns a [[TableResult]]; the bench suites print them and
-  * `jobs/` wraps them for spark-submit. All runs are deterministic in the
-  * generator seeds.
+  * §3). Each returns a [[TableResult]], which the bench suites print and
+  * check. All runs are deterministic in the generator seeds.
   */
 object Experiments {
 
@@ -245,7 +244,7 @@ object Experiments {
       },
       rows,
       Vector("all four variants return identical pattern sets (asserted in tests)",
-        "Apriori prunes groups and patterns with the season-structure bound (Seasonality.seasonBound); " +
+        "Apriori prunes events, groups and patterns with the season-structure bound (Seasonality.isCandidate); " +
           "the paper's |SUP| / minDensity is looser"))
   }
 }

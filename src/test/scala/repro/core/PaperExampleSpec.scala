@@ -33,13 +33,20 @@ class PaperExampleSpec extends AnyFunSuite {
     assert(hlh1.candidates.toSet == expected)
   }
 
+  private def isCandidate(e: String): Boolean = {
+    val sup = supportOf(e).toArray
+    Seasonality.isCandidate(sup, sup.length, exampleCfg)
+  }
+
   test("M:0 and N:0 fail the maxSeason candidate test (Fig. 6)") {
-    assert(!Seasonality.isCandidate(supportOf("M:0").size, exampleCfg))
-    assert(!Seasonality.isCandidate(supportOf("N:0").size, exampleCfg))
+    for (e <- Seq("M:0", "N:0")) {
+      assert(supportOf(e).size / exampleCfg.minDensity < exampleCfg.minSeason) // the paper's 5 / 3
+      assert(!isCandidate(e))
+    }
   }
 
   test("M:1 is a candidate but not a frequent seasonal event (one season)") {
-    assert(Seasonality.isCandidate(supportOf("M:1").size, exampleCfg))
+    assert(isCandidate("M:1"))
     assert(!result.keys.contains(PatternKey.single(ev("M:1"))))
   }
 

@@ -156,19 +156,23 @@ class STPMSpec extends AnyFunSuite {
   }
 
   test("a distMax cut alone rejects a group that maxSeason admits; the output equals the reference") {
-    // Granules 1–30, one position each. A:1 and B:1 hold at {1,2,3} and
+    // Granules 1–30, one position each. E:1 holds at {1,2,3} and
     // {21,22,23}: 6 / minDensity 3 = 2 seasons by maxSeason, but the gap of
-    // 18 exceeds distMax 10, so no two seasons chain. C:1 and D:1 hold at
-    // {1,2,3} and {8,9,10}, 5 apart: a frequent pair.
+    // 18 exceeds distMax 10, so no two seasons chain and HLH_1 drops E:1.
+    // A:1 and B:1 add a block 5 from one of those, so each is a candidate,
+    // but they meet at E:1's granules only: their group is cut the same way.
+    // C:1 and D:1 hold at {1,2,3} and {8,9,10}, 5 apart: a frequent pair.
     def series(id: String, on: Set[Int]) = SymbolicSeries(id, (1 to 30).toVector.map(g => if (on(g)) "1" else "0"))
     val far = Set(1, 2, 3, 21, 22, 23); val near = Set(1, 2, 3, 8, 9, 10)
-    val db = SequenceDB.build(SymbolicDB(Vector(series("A", far), series("B", far),
-      series("C", near), series("D", near))), 1)
+    val db = SequenceDB.build(SymbolicDB(Vector(series("A", far ++ Set(8, 9, 10)),
+      series("B", far ++ Set(28, 29, 30)), series("C", near), series("D", near), series("E", far))), 1)
     val cfg = STPMConfig(Fixtures.exampleCfg, maxK = 3)
     val farSup = far.toArray.sorted
-    assert(Seasonality.isCandidate(farSup.length, cfg.season))
-    assert(Seasonality.seasonBound(farSup, cfg.season) == 1)
+    assert(farSup.length / cfg.season.minDensity >= cfg.season.minSeason)
+    assert(Seasonality.seasonBound(farSup, farSup.length, cfg.season) == 1)
     val hlh1 = HLH1.build(db, cfg.season, apriori = true)
+    assert(!hlh1.eh.contains(Fixtures.ev("E:1")))
+    assert(HLH1.build(db, cfg.season, apriori = false).eh.contains(Fixtures.ev("E:1")))
     assert(hlh1.eh.contains(Fixtures.ev("A:1")) && hlh1.eh.contains(Fixtures.ev("B:1")))
     def pairs(c: STPMConfig) = Decode.groups(hlh1, STPM.mineLevel(hlh1, hlh1, c, new MiningStats)).keySet
     val ab = Vector(Fixtures.ev("A:1"), Fixtures.ev("B:1"))

@@ -72,47 +72,49 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     assert(Seasonality.seasonCount(seasons, cfg) == 3)
   }
 
-  test("maxSeason — Eq. 1") {
-    assert(Seasonality.maxSeason(8, 3) == 8.0 / 3)
-    assert(Seasonality.isCandidate(6, cfg))  // 6/3 = 2 >= 2
-    assert(!Seasonality.isCandidate(5, cfg)) // 5/3 < 2
+  test("candidate test: the season bound reaches minSeason") {
+    val sup = Array(1, 2, 3, 4, 5, 6) // one near support set
+    assert(Seasonality.isCandidate(sup, 6, cfg))  // ⌊6 / 3⌋ = 2 >= 2
+    assert(!Seasonality.isCandidate(sup, 5, cfg)) // ⌊5 / 3⌋ < 2
   }
 
-  test("maxSeason upper-bounds the true season count (Lemma-1 territory)") {
+  test("the candidate test admits every frequent seasonal support set (Lemma 1)") {
     val gen = for {
       n <- Gen.choose(0, 60)
       s <- Gen.listOfN(n, Gen.choose(1, 200))
-    } yield s.distinct.sorted.toVector
+    } yield s.distinct.sorted.toArray
     checkProp(Prop.forAll(gen) { sup =>
-      val seasons = Seasonality.seasonsOf(sup, cfg)
-      Seasonality.seasonCount(seasons, cfg) <= math.max(1,
-        math.ceil(Seasonality.maxSeason(sup.size, cfg.minDensity)).toInt)
+      !Seasonality.isFrequentSeasonal(sup, cfg) || Seasonality.isCandidate(sup, sup.length, cfg)
     })
   }
 
-  test("anti-monotonicity: subset support never has smaller maxSeason (Lemma 1)") {
+  test("anti-monotonicity: no subset of a non-candidate is a candidate (Lemma 1)") {
     val gen = for {
       n <- Gen.choose(1, 50)
       s <- Gen.listOfN(n, Gen.choose(1, 300))
-    } yield s.distinct.sorted.toVector
-    checkProp(Prop.forAll(gen, Gen.choose(0.0, 1.0)) { (sup, frac) =>
-      val sub = sup.take((sup.size * frac).toInt) // any subset works; prefix is one
-      Seasonality.maxSeason(sup.size, 3) >= Seasonality.maxSeason(sub.size, 3)
+      keep <- Gen.listOfN(n, Gen.oneOf(true, false))
+    } yield {
+      val sup = s.distinct.sorted.toArray
+      (sup, sup.zip(keep).collect { case (g, true) => g })
+    }
+    checkProp(Prop.forAll(gen) { case (sup, sub) =>
+      Seasonality.isCandidate(sup, sup.length, cfg) || !Seasonality.isCandidate(sub, sub.length, cfg)
     })
   }
 
   test("season bound — paper Fig. 3 support, with and without a distMax cut") {
     // NS = {1,2,3}, {7,8}, {11,12,14}; gaps 4 and 3; ⌊|NS| / 3⌋ = 1, 0, 1.
     val sup = Array(1, 2, 3, 7, 8, 11, 12, 14)
-    assert(Seasonality.seasonBound(sup, cfg) == 2) // no gap exceeds distMax 10
+    assert(Seasonality.seasonBound(sup, sup.length, cfg) == 2) // no gap exceeds distMax 10
     // distMax 3 cuts the gap of 4: stretches {1,2,3} and {7,8},{11,12,14}
     // bound 1 each, though maxSeason = 8 / 3 admits the support set.
     val narrow = cfg.copy(distMin = 1, distMax = 3)
-    assert(Seasonality.seasonBound(sup, narrow) == 1)
-    assert(Seasonality.isCandidate(sup.length, narrow))
+    assert(Seasonality.seasonBound(sup, sup.length, narrow) == 1)
+    assert(sup.length / narrow.minDensity >= narrow.minSeason)
+    assert(!Seasonality.isCandidate(sup, sup.length, narrow))
     assert(Seasonality.seasonCount(Seasonality.seasonsOf(sup.toVector, narrow), narrow) == 1)
     assert(Seasonality.seasonBound(sup, sup.length - 3, cfg) == 1) // the first 5 granules
-    assert(Seasonality.seasonBound(Array.emptyIntArray, cfg) == 0)
+    assert(Seasonality.seasonBound(Array.emptyIntArray, 0, cfg) == 0)
   }
 
   test("season bound is sound: it bounds seasons(P′) of every SUP′ ⊆ SUP and never exceeds maxSeason") {
@@ -133,10 +135,10 @@ class SeasonalitySpec extends AnyFunSuite with PropSupport {
     var cut = 0 // cases where the bound is below ⌊maxSeason⌋
     checkProp(Prop.forAll(gen) { case (sup, sub, c) =>
       def seasons(s: Array[Int]) = Seasonality.seasonCount(Seasonality.seasonsOf(s.toVector, c), c)
-      val bound = Seasonality.seasonBound(sup, c)
+      val bound = Seasonality.seasonBound(sup, sup.length, c)
       if (bound < sup.length / c.minDensity) cut += 1
       seasons(sup) <= bound && seasons(sub) <= bound && bound <= sup.length / c.minDensity &&
-        Seasonality.seasonBound(sub, c) <= bound // anti-monotone
+        Seasonality.seasonBound(sub, sub.length, c) <= bound // anti-monotone
     }, minTests = 500)
     assert(cut > 50, s"only $cut cases had a cut")
   }
