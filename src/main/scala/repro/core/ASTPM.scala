@@ -4,9 +4,11 @@ package repro.core
   *
   * From the symbolic database, every series pair's NMI (both directions) is
   * compared against the μ threshold derived from minSeason/minDensity
-  * (Eq. 14); only *correlated* series survive into single-event and
-  * 2-event-pattern mining, and k >= 3 levels run exactly on top of the
-  * approximate HLH2 — trading a small recall loss for large pruning.
+  * (Eq. 14); only *correlated* series survive into single-event mining, and
+  * at every level k >= 2 a group holds only events of correlated series
+  * pairs (or of one series). Levels k >= 3 run E-STPM's steps on top of the
+  * approximate HLH2, so the output does not depend on the transitivity
+  * flag — trading a small recall loss for large pruning.
   */
 object ASTPM {
 
@@ -16,9 +18,7 @@ object ASTPM {
       correlatedPairs: Set[(String, String)],
       allSeries: Vector[String],
       keptSeries: Set[String],
-      nmiMillis: Double,
-      muBySeriesPair: Map[(String, String), Double],
-      nmiBySeriesPair: Map[(String, String), Double]) {
+      nmiMillis: Double) {
 
     def prunedSeries: Vector[String] = allSeries.filterNot(keptSeries.contains)
     def prunedSeriesPct: Double =
@@ -38,30 +38,17 @@ object ASTPM {
   def mine(syb: SymbolicDB, db: SeqDB, cfg: STPMConfig): Result = {
     val t0 = System.nanoTime()
     val ids = syb.ids
-    val mus = Map.newBuilder[(String, String), Double]
-    val nmis = Map.newBuilder[(String, String), Double]
     val correlated = Set.newBuilder[(String, String)]
-    for {
-      i <- ids.indices
-      j <- (i + 1) until ids.size
-    } {
-      val x = syb.series(i); val y = syb.series(j)
-      val t = MutualInformation.joint(x, y)
-      val mu = t.mu(db.size, cfg.season.minSeason, cfg.season.minDensity)
-      mus += ((x.id, y.id) -> mu)
-      nmis += ((x.id, y.id) -> t.minNmi)
-      if (t.minNmi >= mu) correlated += ((x.id, y.id))
+    for (i <- ids.indices; j <- (i + 1) until ids.size) {
+      val t = MutualInformation.joint(syb.series(i), syb.series(j))
+      if (t.minNmi >= t.mu(db.size, cfg.season.minSeason, cfg.season.minDensity)) correlated += ((ids(i), ids(j)))
     }
     val nmiMillis = (System.nanoTime() - t0) / 1e6
     val corr = correlated.result()
     val kept: Set[String] = corr.flatMap(p => Set(p._1, p._2))
-
-    val pairOk: (String, String) => Boolean = (a, b) =>
-      a == b || corr.contains((a, b)) || corr.contains((b, a))
-    val mining = STPM.mineFiltered(db, cfg,
-      seriesFilter = Some(kept.contains),
-      pairFilter = Some(pairOk))
-    Result(mining, corr, ids, kept, nmiMillis, mus.result(), nmis.result())
+    val mining = STPM.mineFiltered(db, cfg, seriesFilter = Some(kept.contains),
+      pairFilter = Some((a, b) => a == b || corr.contains((a, b)) || corr.contains((b, a))))
+    Result(mining, corr, ids, kept, nmiMillis)
   }
 
   /** Accuracy of A-STPM w.r.t. the exact result (Sec. VI-C4): the

@@ -6,9 +6,12 @@ import scala.collection.mutable
 /** HLH_k (Sec. IV-D, Fig. 5), integer-encoded, as one table: each candidate
   * k-event group's [[GroupMined]] in mining order (tasks name a group by its
   * index), holding the group's support set (EH_k), its candidate patterns
-  * and their support sets (PH_k) and occurrence tuples (GH_k).
+  * and their support sets (PH_k) and occurrence tuples (GH_k). `pairRels`
+  * is the event-pair table the level was mined with ([[STPM.mineLevel]]),
+  * which the next level reuses.
   */
-class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) extends Serializable {
+class HLHk private[core] (val k: Int, val groups: IndexedSeq[GroupMined], private[core] val pairRels: Array[Int])
+    extends Serializable {
   def patterns: Iterator[MinedPattern] = groups.iterator.flatMap(_.patterns)
 
   /** Stored entries, a machine-independent memory proxy: per group, support
@@ -28,7 +31,7 @@ class HLHk(val k: Int, val groups: IndexedSeq[GroupMined]) extends Serializable 
   * counts the distinct events of D_SEQ, candidates or not.
   */
 final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]], val totalEvents: Int,
-                          groups: IndexedSeq[GroupMined]) extends HLHk(1, groups) {
+                          groups: IndexedSeq[GroupMined]) extends HLHk(1, groups, Array.emptyIntArray) {
   def support(e: Int): Array[Int] = groups(e).sup
 
   def eh: Map[Event, Vector[Int]] = candidates.zip(groups.map(_.sup.toVector)).toMap

@@ -124,8 +124,9 @@ object STPM {
 
   /** Mining with optional restrictions, used by A-STPM (Algorithm 2):
     * `seriesFilter` drops whole time series before single-event mining;
-    * `pairFilter` restricts 2-event groups to admitted series pairs.
-    * Levels k >= 3 always proceed exactly on whatever level 2 produced.
+    * `pairFilter` admits series pairs, and at every level k >= 2 a group
+    * holds only events of pairwise admitted series. It is decided once per
+    * pair of candidate events, into a mask, before level 2.
     */
   private[repro] def mineFiltered(
       db: SeqDB,
@@ -153,14 +154,16 @@ object STPM {
     stats.candidateEvents = hlh1.candidates.size
     emit(hlh1)
     stats.noteEntries(hlh1.entryCount)
+    val pairOk = pairFilter.fold(Array.emptyBooleanArray) { pf =>
+      val series = hlh1.candidates.map(_.series)
+      Array.tabulate(series.size * series.size)(i => pf(series(i / series.size), series(i % series.size)))
+    }
 
     // Step 2.2 — frequent seasonal k-event patterns (Alg. 1 lines 10–23):
     // each level extends the one before it, level 2 extends HLH_1.
     @tailrec def levels(prev: HLHk): Unit = if (prev.k < cfg.maxK) {
       val k = prev.k + 1
-      // The pair filter applies at level 2 only — A-STPM mines k >= 3
-      // exactly (Alg. 2 lines 9–10).
-      val hlhk = mineLevel(hlh1, prev, cfg, stats, if (k == 2) pairFilter else None, exec)
+      val hlhk = mineLevel(hlh1, prev, cfg, stats, pairOk, exec)
       stats.candidateGroups.update(k, hlhk.groups.size)
       stats.candidatePatterns.update(k, hlhk.patterns.size)
       val prevEntries = if (prev.k > 1) prev.entryCount else 0L // HLH_1 is counted once
@@ -176,14 +179,16 @@ object STPM {
     * each a group of `prev` extended by one candidate event, and their
     * candidate k-event patterns. Here only the (group, event) tasks are
     * listed; `exec` mines them against the level's read-only [[Level]],
-    * and their work counts are added to `stats` here, in task order.
+    * and their work counts are added to `stats` here, in task order. A
+    * non-empty `pairOk` (A-STPM's pair filter) admits events (e0, e1) at
+    * `e0 * n + e1`: every event of the group must pair with the new one.
     */
   private[core] def mineLevel(
       hlh1: HLH1,
       prev: HLHk,
       cfg: STPMConfig,
       stats: MiningStats,
-      pairFilter: Option[(String, String) => Boolean] = None,
+      pairOk: Array[Boolean] = Array.emptyBooleanArray,
       exec: Exec = pooled): HLHk = {
     val k = prev.k + 1
     val iterative = k >= 3 && cfg.transitivity
@@ -191,38 +196,27 @@ object STPM {
     // Transitivity pruning (Lemma 4): from level 3 on, only events of
     // *candidate* (k-1)-patterns extend a group — tested here, as under
     // apriori = false `prev` holds every pattern (Trans-only ablation).
-    // The iterative check (Sec. 4.2.2) as a table: bit c of `e0 * n + e1`
-    // (e0 <= e1) admits (relation, flag) code c for events (e0, e1). At
-    // level 3, the codes of candidate 2-patterns; deeper, the group-level
-    // test (cheaper, still sound): every code iff the pair's support passes.
-    // One pass over `prev` decides each pattern's candidacy for both.
-    // (While loops, as in `mineFiltered`'s `emit`.)
     val inCandidate = Array.fill(n)(!iterative)
-    val pairRels = new Array[Int](if (iterative) n * n else 0)
-    if (iterative)
-      for (gm <- prev.groups) {
-        var i = 0
-        while (i < gm.patterns.length) {
-          val p = gm.patterns(i)
-          if (Seasonality.isCandidate(p.support, p.support.length, cfg.season)) {
-            var j = 0
-            while (j < gm.group.length) { inCandidate(gm.group(j)) = true; j += 1 }
-            if (k == 3) pairRels(gm.group(0) * n + gm.group(1)) |= 1 << p.rels(0)
-          }
-          i += 1
-        }
-      }
-    if (iterative && k > 3)
-      for (e0 <- 0 until n; e1 <- e0 until n; sup = hlh1.restrict(hlh1.support(e0), e1)
-           if Seasonality.isCandidate(sup, sup.length, cfg.season))
-        pairRels(e0 * n + e1) = -1
+    if (iterative) foreachCandidate(prev, cfg.season) { (group, _) =>
+      var j = 0
+      while (j < group.length) { inCandidate(group(j)) = true; j += 1 }
+    }
+    // The iterative check (Sec. 4.2.2) as one table, built at level 3 and
+    // carried by every later level: bit c of `e0 * n + e1` (e0 <= e1) admits
+    // (relation, flag) code c for events (e0, e1), the codes of HLH_2's
+    // candidate 2-patterns. Every 2-subpattern of a candidate k-pattern is
+    // one of them (Lemmas 3–4), so the table is sound at every k >= 3.
+    val pairRels = if (!iterative) Array.emptyIntArray else if (k > 3) prev.pairRels else {
+      val table = new Array[Int](n * n)
+      foreachCandidate(prev, cfg.season)((group, p) => table(group(0) * n + group(1)) |= 1 << p.rels(0))
+      table
+    }
     // Canonical extension only; ek == last repeats an event (at level 2,
     // the self-pairs).
     val tasks = for {
       (gm, parent) <- prev.groups.iterator.zipWithIndex
-      last = gm.group.last
-      ek <- last until n if inCandidate(ek)
-      if pairFilter.forall(pf => pf(hlh1.candidates(last).series, hlh1.candidates(ek).series))
+      ek <- gm.group.last until n
+      if inCandidate(ek) && (pairOk.isEmpty || gm.group.forall(e => pairOk(e * n + ek)))
     } yield new GroupTask(parent, ek)
 
     val groups = Vector.newBuilder[GroupMined]
@@ -231,8 +225,21 @@ object STPM {
       stats.occurrences += gm.occurrences
       if (gm.patterns.nonEmpty) groups += gm
     }
-    new HLHk(k, groups.result())
+    new HLHk(k, groups.result(), pairRels)
   }
+
+  /** `f(group, pattern)` for each candidate pattern of `level`, in order
+    * (while loops, as in `mineFiltered`'s `emit`).
+    */
+  private def foreachCandidate(level: HLHk, cfg: SeasonCfg)(f: (Array[Int], MinedPattern) => Unit): Unit =
+    for (gm <- level.groups) {
+      var i = 0
+      while (i < gm.patterns.length) {
+        val p = gm.patterns(i)
+        if (Seasonality.isCandidate(p.support, p.support.length, cfg)) f(gm.group, p)
+        i += 1
+      }
+    }
 
   /** Admits a group or pattern: a candidate under Apriori-like pruning,
     * otherwise any non-empty support set.

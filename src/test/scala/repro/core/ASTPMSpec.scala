@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SeasonalGen
 import repro.data.SeasonalGen.{Participant, Planted}
+import repro.exp.Experiments
 
 class ASTPMSpec extends AnyFunSuite {
 
@@ -88,22 +89,46 @@ class ASTPMSpec extends AnyFunSuite {
     val n = syb.length
     val withConstants = SymbolicDB(syb.series.take(3) ++ Vector(
       SymbolicSeries("K0", Vector.fill(n)("0")), SymbolicSeries("K1", Vector.fill(n)("1"))))
-    val r = ASTPM.mine(withConstants, SequenceDB.build(withConstants, m), cfg)
-    assert(r.muBySeriesPair(("K0", "K1")).isPosInfinity)
-    for (((a, b), nmi) <- r.nmiBySeriesPair if a.startsWith("K") || b.startsWith("K")) {
-      assert(nmi == 0.0, s"NMI of ($a, $b)")
+    val withDb = SequenceDB.build(withConstants, m)
+    val ss = withConstants.series
+    def mu(t: JointCounts) = t.mu(withDb.size, cfg.season.minSeason, cfg.season.minDensity)
+    assert(mu(MutualInformation.joint(ss(3), ss(4))).isPosInfinity)
+    for (i <- ss.indices; j <- (i + 1) until ss.size; (a, b) = (ss(i).id, ss(j).id)
+         if a.startsWith("K") || b.startsWith("K")) {
+      val t = MutualInformation.joint(ss(i), ss(j))
+      assert(t.minNmi == 0.0, s"NMI of ($a, $b)")
       // Against a varying series, μ is finite but still above NMI 0.
-      assert(r.muBySeriesPair((a, b)) > 0.0, s"μ of ($a, $b)")
+      assert(mu(t) > 0.0, s"μ of ($a, $b)")
     }
+    val r = ASTPM.mine(withConstants, withDb, cfg)
     assert(r.keptSeries == Set("S000", "S001", "S002"))
     assert(r.mining.frequent.forall(_.key.events.forall(_.series.startsWith("S"))))
   }
 
-  test("μ and NMI are recorded for every series pair") {
-    val nPairs = spec.nSeries * (spec.nSeries - 1) / 2
-    assert(approx.muBySeriesPair.size == nPairs)
-    assert(approx.nmiBySeriesPair.size == nPairs)
-    for ((_, nmi) <- approx.nmiBySeriesPair) assert(nmi >= 0.0 && nmi <= 1.0)
+  test("μ and NMI are defined for every series pair; NMI is in [0, 1]") {
+    val ss = syb.series
+    val joints = for (i <- ss.indices; j <- (i + 1) until ss.size) yield MutualInformation.joint(ss(i), ss(j))
+    assert(joints.size == spec.nSeries * (spec.nSeries - 1) / 2)
+    for (t <- joints) {
+      assert(t.minNmi >= 0.0 && t.minNmi <= 1.0)
+      assert(!t.mu(db.size, cfg.season.minSeason, cfg.season.minDensity).isNaN)
+    }
     assert(approx.nmiMillis >= 0)
+  }
+
+  test("at every level A-STPM pairs only correlated series, and its output does not depend on transitivity") {
+    for (name <- Seq("RE", "INF")) {
+      val (s, d) = SeasonalGen.dataset(SeasonalGen.preset(name))
+      for (maxK <- 3 to 5) {
+        val cfg = STPMConfig(Experiments.cfgOf(d.size, name, 0.4, 0.75, 4), maxK = maxK)
+        val on = ASTPM.mine(s, d, cfg)
+        val off = ASTPM.mine(s, d, cfg.copy(transitivity = false))
+        def corr(a: String, b: String) = on.correlatedPairs((a, b)) || on.correlatedPairs((b, a))
+        for ((r, tr) <- Seq((on, true), (off, false)); p <- r.mining.frequent;
+             Seq(a, b) <- p.key.events.map(_.series).distinct.combinations(2))
+          assert(corr(a, b), s"$name maxK=$maxK transitivity=$tr: ${p.key.render} pairs $a with $b")
+        assert(off.mining.frequent == on.mining.frequent, s"$name maxK=$maxK")
+      }
+    }
   }
 }

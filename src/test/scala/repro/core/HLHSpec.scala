@@ -104,19 +104,19 @@ class HLHSpec extends AnyFunSuite {
 
   test("mining counters at maxK 4 on a random database, with and without Apriori pruning") {
     // Pinned counters. Trans-only (apriori = false) exercises the season
-    // bound inside the level-3 check; k = 4 the group-level check.
+    // bound inside the level-3 event-pair table, which k = 4 reuses.
     val db = TestData.randomDb(3, 90, 3, 7L)
     val all = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4)).stats
     assert(all.candidateGroups.toMap == Map(2 -> 10, 3 -> 6, 4 -> 2))
     assert(all.candidatePatterns.toMap == Map(2 -> 11, 3 -> 7, 4 -> 2))
-    assert(all.relationChecks == 562)
-    assert(all.occurrences == 343)
+    assert(all.relationChecks == 558)
+    assert(all.occurrences == 340)
     assert(all.peakEntries == 1282)
     val trans = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4, apriori = false)).stats
-    assert(trans.candidateGroups.toMap == Map(2 -> 19, 3 -> 8, 4 -> 5))
-    assert(trans.candidatePatterns.toMap == Map(2 -> 44, 3 -> 13, 4 -> 12))
-    assert(trans.relationChecks == 776)
-    assert(trans.occurrences == 374)
+    assert(trans.candidateGroups.toMap == Map(2 -> 19, 3 -> 8, 4 -> 4))
+    assert(trans.candidatePatterns.toMap == Map(2 -> 44, 3 -> 13, 4 -> 5))
+    assert(trans.relationChecks == 763)
+    assert(trans.occurrences == 362)
     assert(trans.peakEntries == 1845)
   }
 

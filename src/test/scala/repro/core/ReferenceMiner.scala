@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import repro.core.Relations.RelCfg
 
-/** Brute-force seasonal temporal pattern miner for k <= 3, straight from
+/** Brute-force seasonal temporal pattern miner for k <= 4, straight from
   * the definitions (Defs. 3.10–3.17) — the oracle the mining kernels are
   * checked against. It shares no mining code with them: no HLH, no
   * pruning, no incremental keys and no `OccurrenceKey.ofOccurrence`.
@@ -18,7 +18,7 @@ import repro.core.Relations.RelCfg
 object ReferenceMiner {
 
   def mine(db: SeqDB, season: SeasonCfg, rel: RelCfg, maxK: Int): Vector[FrequentPattern] = {
-    require(maxK >= 1 && maxK <= 3, "the reference miner covers 1 <= k <= 3")
+    require(maxK >= 1 && maxK <= 4, "the reference miner covers 1 <= k <= 4")
     val support = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
     for (row <- db.rows; k <- 1 to maxK; picked <- row.instances.combinations(k)) {
       // `combinations` keeps the row's canonical order and `sortBy` is

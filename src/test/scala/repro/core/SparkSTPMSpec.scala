@@ -228,7 +228,7 @@ class SparkSTPMSpec extends SparkSpec {
   }
 
   test("distributed mining equals the local kernel at maxK 4 without Apriori pruning") {
-    // Trans-only reaches the level-4 event-pair table on the executors.
+    // Trans-only: level 4 reads the event-pair table level 3 built, on the executors.
     for (db <- Seq(Fixtures.tableIV, TestData.randomDb(3, 90, 3, 7L))) {
       val cfg = STPMConfig(TestData.lenient, maxK = 4, apriori = false)
       val local = STPM.mine(db, cfg)
