@@ -49,7 +49,7 @@ object APSGrowth {
     var relationChecks, multisetsTried = 0L
     val frequent = Vector.newBuilder[FrequentPattern]
     val stats = new MiningStats
-    stats.totalEvents = hlh1.totalEvents
+    stats.totalEvents = db.allEvents.size
 
     // Singleton events: exact seasonal check over real support sets.
     val singles = bySize.getOrElse(1, Vector.empty)

@@ -8,49 +8,11 @@ package repro.core
   */
 object Granularity {
 
-  /** Position of the coarse granule containing fine position `p` under an
-    * m-finer mapping (Def. 3.3): fine granules `(i-1)*m+1 .. i*m` map to
-    * coarse granule `i`.
-    */
-  def coarsePos(finePos: Int, m: Int): Int = {
-    require(finePos >= 1, s"fine position must be >= 1, got $finePos")
-    require(m >= 1, s"granularity factor must be >= 1, got $m")
-    (finePos - 1) / m + 1
-  }
-
-  /** Fine positions covered by coarse granule `h` (inclusive range). */
-  def fineRange(h: Int, m: Int): (Int, Int) = {
-    require(h >= 1 && m >= 1)
-    ((h - 1) * m + 1, h * m)
-  }
-
-  /** Period between two granules of the same granularity (Def. 3.5). */
-  def period(pi: Int, pj: Int): Int = math.abs(pi - pj)
-
   /** Number of coarse granules produced from `fineLength` fine granules
     * (a trailing partial granule counts — Def. 3.2 partitions completely).
     */
   def coarseLength(fineLength: Int, m: Int): Int = {
     require(fineLength >= 0 && m >= 1)
-    (fineLength + m - 1) / m
+    ((fineLength.toLong + m - 1) / m).toInt
   }
-}
-
-/** A level ladder `G = levels(0) <=_m levels(1) <= ...` (Def. 3.4): each
-  * entry is the fold factor relative to the previous level, e.g.
-  * `Hierarchy("5min" -> 1, "15min" -> 3, "1h" -> 4)` for the paper's Fig. 2.
-  */
-final case class Hierarchy(levels: Vector[(String, Int)]) {
-  require(levels.nonEmpty && levels.head._2 == 1,
-    "finest level must have factor 1")
-  require(levels.forall(_._2 >= 1), "all fold factors must be >= 1")
-
-  /** Cumulative factor of `level` relative to the finest granularity. */
-  def factorOf(level: String): Int = {
-    val idx = levels.indexWhere(_._1 == level)
-    require(idx >= 0, s"unknown level $level")
-    levels.take(idx + 1).map(_._2).product
-  }
-
-  def levelNames: Vector[String] = levels.map(_._1)
 }

@@ -27,10 +27,9 @@ class HLHk private[core] (val k: Int, val groups: IndexedSeq[GroupMined], privat
   * `granules(g - 1)` holds granule g's candidate instances as (event id,
   * start, end) triples in [[Instance.ordering]]; an instance is its index
   * there. Group e holds the pattern `(e)`: e's support set (EH) and its
-  * instances at each supporting granule as 1-tuples (GH). `totalEvents`
-  * counts the distinct events of D_SEQ, candidates or not.
+  * instances at each supporting granule as 1-tuples (GH).
   */
-final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]], val totalEvents: Int,
+final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]],
                           groups: IndexedSeq[GroupMined]) extends HLHk(1, groups, Array.emptyIntArray) {
   def support(e: Int): Array[Int] = groups(e).sup
 
@@ -84,53 +83,47 @@ final class HLH1 private (val candidates: Vector[Event], val granules: Array[Arr
 }
 
 object HLH1 {
-  /** One scan of D_SEQ building support sets and instance indexes for the
-    * events `keep` admits, (with Apriori-like pruning) only the candidate
-    * seasonal ones ([[Seasonality.isCandidate]]). Each instance's event is
-    * hashed once, to a first-seen id that the rest of the build uses.
+  /** One scan of D_SEQ's triples counting each event's support set, then
+    * one that keeps the events `keep` admits, (with Apriori-like pruning)
+    * only the candidate seasonal ones ([[Seasonality.isCandidate]]), and
+    * re-indexes their instances. Candidate ids follow D_SEQ's, so they stay
+    * in [[Event.ordering]].
     */
   def build(db: SeqDB, cfg: SeasonCfg, apriori: Boolean, keep: Event => Boolean = _ => true): HLH1 = {
     // While loops and a constant default: a closure per row or instance
     // would allocate until the JIT removes it, and allocation per op
     // would drift from op to op.
-    val seen = mutable.HashMap.empty[Event, Int]
-    val sups = mutable.ArrayBuffer.empty[PatternBuf] // by first-seen id, the support set
-    val seenIds = db.rows.map { row =>
-      val ids = new Array[Int](row.instances.size)
+    val events = db.allEvents
+    val sups = Array.fill(events.size)(new PatternBuf(Array.emptyByteArray, keepOcc = false))
+    var g = 1
+    while (g <= db.size) {
+      val inst = db.granules(g - 1)
       var i = 0
-      while (i < ids.length) {
-        val e = row.instances(i).event
-        ids(i) = seen.getOrElse(e, -1)
-        if (ids(i) < 0) { ids(i) = seen.size; seen(e) = ids(i); sups += new PatternBuf(Array.emptyByteArray, keepOcc = false) }
-        sups(ids(i)).add(row.pos, Array.emptyIntArray, 0, 0, 0)
-        i += 1
-      }
-      ids
+      while (i < inst.length) { sups(inst(i)).add(g, Array.emptyIntArray, 0, 0, 0); i += 3 }
+      g += 1
     }
-    val events = new Array[Event](seen.size)
-    for ((e, s) <- seen) events(s) = e
-    val kept = events.indices.filter(s => keep(events(s)) &&
-      (!apriori || Seasonality.isCandidate(sups(s).granules, sups(s).supportSize, cfg))).sortBy(events)
-    val id = Array.fill(events.length)(-1)
-    for ((s, e) <- kept.zipWithIndex) id(s) = e
+    val kept = events.indices.filter(e => keep(events(e)) &&
+      (!apriori || Seasonality.isCandidate(sups(e).granules, sups(e).supportSize, cfg)))
+    val id = Array.fill(events.size)(-1)
+    for ((e, c) <- kept.zipWithIndex) id(e) = c
     val single = kept.map(_ => new PatternBuf(Array.emptyByteArray))
-    val granules = db.rows.map { row =>
-      val ids = seenIds(row.pos - 1)
+    val granules = Array.tabulate(db.size) { g0 =>
+      val inst = db.granules(g0)
       val flat = new mutable.ArrayBuilder.ofInt
       var i = 0
-      while (i < ids.length) {
-        val e = id(ids(i))
-        if (e >= 0) {
-          single(e).add(row.pos, Array.emptyIntArray, 0, 0, flat.length / 3)
-          flat.addOne(e).addOne(row.instances(i).start).addOne(row.instances(i).end)
+      while (i < inst.length) {
+        val c = id(inst(i))
+        if (c >= 0) {
+          single(c).add(g0 + 1, Array.emptyIntArray, 0, 0, flat.length / 3)
+          flat.addOne(c).addOne(inst(i + 1)).addOne(inst(i + 2))
         }
-        i += 1
+        i += 3
       }
       flat.result()
-    }.toArray
-    new HLH1(kept.map(events).toVector, granules, events.length, single.indices.map { e =>
-      val p = single(e).result()
-      new GroupMined(Array(e), p.support, Array(p), 0L, 0L)
+    }
+    new HLH1(kept.map(events).toVector, granules, single.indices.map { c =>
+      val p = single(c).result()
+      new GroupMined(Array(c), p.support, Array(p), 0L, 0L)
     })
   }
 }

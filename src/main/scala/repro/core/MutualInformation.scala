@@ -10,21 +10,6 @@ final class SymbolicSeries private (val id: String, val alphabet: Vector[String]
                                     private[core] val ends: Array[Int],
                                     private[core] val codes: Array[Int]) {
   def length: Int = ends(ends.length - 1)
-
-  /** Calls `f(start, end, symbol)` for each run in position order: 1-based
-    * positions `start..end` hold `symbol`.
-    */
-  def foreachRun(f: (Int, Int, String) => Unit): Unit = {
-    var start = 1
-    for (r <- ends.indices) { f(start, ends(r), alphabet(codes(r))); start = ends(r) + 1 }
-  }
-
-  /** The symbol at each position, rendered from the runs. */
-  def symbols: Vector[String] = {
-    val b = Vector.newBuilder[String]
-    foreachRun((start, end, symbol) => b ++= Iterator.fill(end - start + 1)(symbol))
-    b.result()
-  }
 }
 
 object SymbolicSeries {
@@ -56,15 +41,13 @@ final case class SymbolicDB(series: Vector[SymbolicSeries]) {
     "all symbolic series must be aligned (same length)")
   def length: Int = series.head.length
   def ids: Vector[String] = series.map(_.id)
-  def byId(id: String): SymbolicSeries = series.find(_.id == id)
-    .getOrElse(throw new NoSuchElementException(s"no series $id"))
 }
 
 /** The α_X × α_Y joint symbol counts of an aligned series pair (X, Y),
   * alphabets sorted: `count(i, j)` is the number of positions where X holds
   * `xSymbols(i)` and Y holds `ySymbols(j)`. The pair's marginals, H (Eq. 2),
-  * H(X|Y) (Eq. 3), I (Eq. 4), both NMI directions (Eq. 5) and μ (Eq. 14)
-  * all derive from it. [[MutualInformation.joint]] fills it.
+  * I (Eq. 4), both NMI directions (Eq. 5) and μ (Eq. 14) all derive from
+  * it. [[MutualInformation.joint]] fills it.
   */
 final class JointCounts(val xSymbols: Vector[String], val ySymbols: Vector[String],
                         cells: Array[Long]) {
@@ -75,20 +58,18 @@ final class JointCounts(val xSymbols: Vector[String], val ySymbols: Vector[Strin
   private val yCounts = Array.tabulate(ay)(j => xSymbols.indices.map(count(_, j)).sum)
   val n: Long = xCounts.sum // aligned positions
   private def p(c: Long): Double = c / n.toDouble
-  def pX: Map[String, Double] = xSymbols.zip(xCounts.map(p)).toMap
-
-  /** Sum of f(p(x, y), p(x), p(y)) over the non-empty cells. */
-  private def sumCells(f: (Double, Double, Double) => Double): Double = {
-    var s = 0.0
-    for (i <- xCounts.indices; j <- yCounts.indices if count(i, j) > 0)
-      s += f(p(count(i, j)), p(xCounts(i)), p(yCounts(j)))
-    s
-  }
   private def entropy(counts: Array[Long]): Double = -counts.map(c => p(c) * log2(p(c))).sum
   lazy val hX: Double = entropy(xCounts)
   lazy val hY: Double = entropy(yCounts)
-  def condEntropy: Double = -sumCells((pxy, _, py) => pxy * log2(pxy / py))
-  lazy val mi: Double = sumCells((pxy, px, py) => pxy * log2(pxy / (px * py)))
+  /** I(X;Y): the sum of p(x, y) log2(p(x, y) / (p(x) p(y))) over the non-empty cells. */
+  lazy val mi: Double = {
+    var s = 0.0
+    for (i <- xCounts.indices; j <- yCounts.indices if count(i, j) > 0) {
+      val pxy = p(count(i, j))
+      s += pxy * log2(pxy / (p(xCounts(i)) * p(yCounts(j))))
+    }
+    s
+  }
   /** I/H(X), I/H(Y) (0 for a constant normalizer) and their min (Def. 5.4). */
   def nmiXY: Double = nmi(hX)
   def nmiYX: Double = nmi(hY)
@@ -138,13 +119,7 @@ object MutualInformation {
   private[core] def requireAligned(x: String, nx: Long, y: String, ny: Long): Unit =
     require(nx == ny, s"series $x ($nx positions) and $y ($ny positions) are not aligned")
 
-  /** p(x), H(X) (Eq. 2), H(X|Y) (Eq. 3), I(X;Y) (Eq. 4) in bits, and the
-    * asymmetric NMI I(X;Y)/H(X) (Eq. 5) — 0 for a constant X.
-    */
-  def probs(x: SymbolicSeries): Map[String, Double] = joint(x, x).pX
-  def entropy(x: SymbolicSeries): Double = joint(x, x).hX
-  def condEntropy(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).condEntropy
-  def mi(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).mi
+  /** The asymmetric NMI I(X;Y)/H(X) (Eq. 5) — 0 for a constant X. */
   def nmi(x: SymbolicSeries, y: SymbolicSeries): Double = joint(x, y).nmiXY
 
   /** μ for one event pair (X1 ∈ X_S, Y1 ∈ Y_S) (Eq. 14, appendix form):

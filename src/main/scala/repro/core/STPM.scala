@@ -54,7 +54,6 @@ final class MiningStats {
 }
 
 final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningStats) {
-  def frequentOfSize(k: Int): Vector[FrequentPattern] = frequent.filter(_.k == k)
   def keys: Set[PatternKey] = frequent.iterator.map(_.key).toSet
 }
 
@@ -139,7 +138,7 @@ object STPM {
 
     // Step 2.1 — frequent seasonal single events (Alg. 1 lines 1–9).
     val hlh1 = HLH1.build(db, cfg.season, cfg.apriori, e => seriesFilter.forall(_(e.series)))
-    stats.totalEvents = hlh1.totalEvents
+    stats.totalEvents = db.allEvents.size
     // A while loop: a closure per group would allocate until the JIT
     // removes it, and allocation per op would drift from op to op.
     def emit(level: HLHk): Unit =

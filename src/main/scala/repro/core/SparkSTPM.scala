@@ -83,31 +83,29 @@ object SparkSTPM {
       .mapPartitions { runs =>
         val out = Vector.newBuilder[(String, Int, String, Int, Int)]
         for ((series, rs) <- runs.toVector.groupMap(_._1)(r => (r._2, r._3, r._4)))
-          SequenceDB.encode(series, rs, m)((g, i) => out += ((series, g, i.event.symbol, i.start, i.end)))
+          SequenceDB.encode(series, rs, m)((g, symbol, start, end) => out += ((series, g, symbol, start, end)))
         out.result().iterator
       }
       .toDF("series", "granule", "symbol", "start", "end")
   }
 
-  /** Materialize the instance frame into the local mining model. Series of
-    * different lengths (a series' length is its last instance's end) are
-    * rejected, as by the local [[SymbolicDB]].
+  /** Materialize the instance frame into the local mining model: the event
+    * dictionary is the rows' distinct events, and the rows, coded with it,
+    * go to the assembler of the local [[SequenceDB.build]]
+    * ([[SeqDB.assemble]]). Series of different lengths (a series' length is
+    * its last instance's end) are rejected, as by the local [[SymbolicDB]].
     */
   def collectSeqDB(instances: DataFrame, m: Int): SeqDB = {
-    val collected = instances
-      .select("granule", "series", "symbol", "start", "end")
-      .collect()
-      .map(r => (r.getInt(0),
-        Instance(Event(r.getString(1), r.getString(2)), Interval(r.getInt(3), r.getInt(4)))))
-    val lengths = collected.groupMapReduce(_._2.event.series)(_._2.interval.end)(math.max).toVector.sorted
+    val rows = instances.select("granule", "series", "symbol", "start", "end").collect()
+    val lengths = rows.groupMapReduce(_.getString(1))(_.getInt(4))(math.max).toVector.sorted
     for ((x, nx) <- lengths.headOption; (y, ny) <- lengths.find(_._2 != nx))
       MutualInformation.requireAligned(x, nx, y, ny)
-    val byGranule = collected.groupBy(_._1)
-    val n = if (byGranule.isEmpty) 0 else byGranule.keys.max
-    val rows = (1 to n).toVector.map { g =>
-      GranuleRow(g, byGranule.getOrElse(g, Array.empty).map(_._2).toVector.sorted(Instance.ordering))
+    val rowEvents = rows.map(r => Event(r.getString(1), r.getString(2)))
+    val events = rowEvents.distinct.sorted.toVector
+    val id = events.zipWithIndex.toMap
+    SeqDB.assemble(m, events, rows.iterator.map(_.getInt(0)).maxOption.getOrElse(0)) { sink =>
+      for ((r, e) <- rows.iterator.zip(rowEvents)) sink(r.getInt(0), id(e), r.getInt(3), r.getInt(4))
     }
-    SeqDB(m, rows)
   }
 
   // ------------------------------------------------------------------

@@ -1,14 +1,9 @@
 package repro.core
 
 /** Symbolization (Def. 3.7): the mapping function f: X → Σ_X encoding each
-  * raw value into a symbol. Two standard schemes are provided:
-  *
-  * - [[Symbolizer.thresholds]]: explicit ascending cut points (the paper's
-  *   ON/OFF example is a 1-cut instance);
-  * - [[Symbolizer.quantiles]]: SAX-style equi-depth binning computed from
-  *   the series itself (Lin et al. 2003, as cited in Def. 3.7).
-  *
-  * Symbols are "0", "1", ... in ascending value order.
+  * raw value into a symbol by explicit ascending cut points
+  * ([[Symbolizer.thresholds]]; the paper's ON/OFF example is a 1-cut
+  * instance). Symbols are "0", "1", ... in ascending value order.
   */
 object Symbolizer {
 
@@ -41,26 +36,4 @@ object Symbolizer {
     while (i < cuts.size && value >= cuts(i)) i += 1
     if (i < binSymbols.length) binSymbols(i) else i.toString
   }
-
-  /** Equi-depth cut points for an `alpha`-symbol alphabet (SAX-like, but on
-    * the empirical distribution rather than a Gaussian assumption — exact
-    * and deterministic).
-    */
-  def quantileCuts(values: Vector[Double], alpha: Int): Vector[Double] = {
-    require(alpha >= 2, "alphabet size must be >= 2")
-    val sorted = values.sorted
-    (1 until alpha).toVector
-      .map(i => sorted(((i.toLong * sorted.size) / alpha).toInt.min(sorted.size - 1)))
-      .distinct
-  }
-
-  /** Quantile-binned symbolization with an `alpha`-symbol alphabet. */
-  def quantiles(values: Vector[Double], alpha: Int): Vector[String] =
-    thresholds(values, quantileCuts(values, alpha))
-
-  /** Symbolize a whole raw database into D_SYB with per-series quantile
-    * alphabets.
-    */
-  def symbolicDB(raw: Vector[(String, Vector[Double])], alpha: Int): SymbolicDB =
-    SymbolicDB(raw.map { case (id, vs) => SymbolicSeries(id, quantiles(vs, alpha)) })
 }

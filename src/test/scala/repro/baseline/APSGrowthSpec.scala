@@ -80,14 +80,14 @@ class APSGrowthSpec extends AnyFunSuite {
   test("an empty database and one with no candidate event mine to nothing") {
     val cfg = Fixtures.stpmCfg.copy(maxK = 3)
     val noEvent = cfg.copy(season = cfg.season.copy(minSeason = Fixtures.tableIV.size + 1))
-    for ((db, c) <- Seq((SeqDB(1, Vector.empty), cfg), (Fixtures.tableIV, noEvent))) {
+    for ((db, c) <- Seq((SeqDB.assemble(1, Vector.empty, 0)(_ => ()), cfg), (Fixtures.tableIV, noEvent))) {
       val (res, stats) = APSGrowth.mine(db, c)
       assert(res.frequent.isEmpty && stats.relationChecks == 0, s"${res.stats}")
     }
   }
 
   test("multiset expansion: sets, self-pairs and triples") {
-    def e(s: String) = Event.parse(s)
+    def e(s: String) = Decode.event(s)
     val bySize = Map(
       1 -> Vector(Vector(e("A:1")), Vector(e("B:1"))),
       2 -> Vector(Vector(e("A:1"), e("B:1"))))

@@ -2,11 +2,11 @@ package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.Event
+import repro.core.{Decode, Event}
 
 class PSGrowthSpec extends AnyFunSuite {
 
-  private def e(s: String) = Event.parse(s)
+  private def e(s: String) = Decode.event(s)
 
   /** Brute-force reference: all itemsets with support >= minCount. */
   private def bruteForce(tx: Seq[(Int, Set[Event])], minCount: Int,

@@ -2,11 +2,11 @@ package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
-import repro.core.{Event, PropSupport}
+import repro.core.{Decode, PropSupport}
 
 class PSTreeSpec extends AnyFunSuite with PropSupport {
 
-  private def e(s: String) = Event.parse(s)
+  private def e(s: String) = Decode.event(s)
 
   test("Summary.add merges timestamps within maxPer") {
     var l = Vector.empty[Summary]

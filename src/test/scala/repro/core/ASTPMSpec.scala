@@ -58,10 +58,10 @@ class ASTPMSpec extends AnyFunSuite {
 
   test("the planted chain pattern is found by both miners") {
     assert(exact.frequent.nonEmpty)
-    val chainPair = exact.frequentOfSize(2).filter(p =>
+    val chainPair = Decode.frequentOfSize(exact, 2).filter(p =>
       p.key.events.map(_.series).toSet == Set("S000", "S001") &&
         p.key.events.forall(_.symbol == "2"))
-    assert(chainPair.nonEmpty, exact.frequentOfSize(2).map(_.key.render).mkString(", "))
+    assert(chainPair.nonEmpty, Decode.frequentOfSize(exact, 2).map(_.key.render).mkString(", "))
     for (p <- chainPair) assert(approx.mining.keys.contains(p.key))
   }
 

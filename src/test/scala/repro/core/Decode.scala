@@ -3,9 +3,39 @@ package repro.core
 import scala.collection.mutable
 
 /** Object views of the Int-encoded HLH levels, for tests that assert on
-  * patterns, support sets and instance tuples.
+  * patterns, support sets and instance tuples, and the readers of the
+  * model that only tests need.
   */
 object Decode {
+
+  /** The event of a literal such as "C:1"; the last colon separates. */
+  def event(s: String): Event = {
+    val i = s.lastIndexOf(':')
+    require(i > 0, s"bad event literal '$s'")
+    Event(s.substring(0, i), s.substring(i + 1))
+  }
+
+  /** Duration in fine granules (inclusive endpoints). */
+  def duration(i: Interval): Int = i.end - i.start + 1
+
+  /** A series' runs in position order: 1-based positions `start..end` hold `symbol`. */
+  def runs(s: SymbolicSeries): Vector[(Int, Int, String)] =
+    s.ends.indices.toVector.map(r => (if (r == 0) 1 else s.ends(r - 1) + 1, s.ends(r), s.alphabet(s.codes(r))))
+
+  /** The symbol at each position, rendered from the runs. */
+  def symbols(s: SymbolicSeries): Vector[String] =
+    runs(s).flatMap { case (start, end, symbol) => Vector.fill(end - start + 1)(symbol) }
+
+  def byId(syb: SymbolicDB, id: String): SymbolicSeries =
+    syb.series.find(_.id == id).getOrElse(throw new NoSuchElementException(s"no series $id"))
+
+  def frequentOfSize(r: MiningResult, k: Int): Vector[FrequentPattern] = r.frequent.filter(_.k == k)
+
+  /** What two builds of D_SEQ must agree on: m, the event dictionary and
+    * every granule's (event id, start, end) triples.
+    */
+  def layout(db: SeqDB): (Int, Vector[Event], Vector[Vector[Int]]) =
+    (db.m, db.allEvents, db.granules.toVector.map(_.toVector))
 
   /** A pattern with its support set and, aligned with it, its occurrence
     * instance tuples at each supporting granule.

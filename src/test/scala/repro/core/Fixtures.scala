@@ -28,5 +28,5 @@ object Fixtures {
 
   val stpmCfg: STPMConfig = STPMConfig(exampleCfg)
 
-  def ev(s: String): Event = Event.parse(s)
+  def ev(s: String): Event = Decode.event(s)
 }

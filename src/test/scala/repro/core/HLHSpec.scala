@@ -27,6 +27,35 @@ class HLHSpec extends AnyFunSuite {
       assert(sup == db.rows.filter(_.events.contains(e)).map(_.pos))
   }
 
+  /** HLH_1 derived from D_SEQ's rendered rows by event: the admitted
+    * events, sorted; each granule's admitted instances as (index among
+    * them, start, end) triples; and each admitted event's support set.
+    */
+  private def fromRows(db: SeqDB, cfg: SeasonCfg, apriori: Boolean, keep: Event => Boolean) = {
+    val rows = db.rows
+    val support = rows.flatMap(r => r.events.map(_ -> r.pos)).groupMap(_._1)(_._2)
+    val kept = support.keys.toVector.sorted.filter(e => keep(e) &&
+      (!apriori || Seasonality.isCandidate(support(e).toArray, support(e).size, cfg)))
+    val id = kept.zipWithIndex.toMap
+    val granules = rows.map(_.instances.filter(i => id.contains(i.event)).flatMap(i => Vector(id(i.event), i.start, i.end)))
+    (kept, granules, kept.map(support))
+  }
+
+  test("HLH1.build equals a derivation from D_SEQ's rows by event") {
+    val random = TestData.randomDb(5, 120, 4, 3L)
+    val noS2 = (e: Event) => e.series != "S2"
+    assert(random.allEvents.exists(!noS2(_)))
+    for ((db, cfg, keep) <- Seq((db, cfg, (_: Event) => true), (random, TestData.lenient, noS2));
+         apriori <- Seq(true, false)) {
+      val h = HLH1.build(db, cfg, apriori, keep)
+      val (kept, granules, supports) = fromRows(db, cfg, apriori, keep)
+      assert(kept.nonEmpty, s"apriori=$apriori")
+      assert(h.candidates == kept)
+      assert(h.granules.toVector.map(_.toVector) == granules)
+      assert(h.candidates.indices.map(h.support(_).toVector) == supports)
+    }
+  }
+
   test("GH holds the instances per granule") {
     val h = HLH1.build(db, cfg, apriori = true)
     val c1 = Event("C", "1")

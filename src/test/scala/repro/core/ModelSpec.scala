@@ -8,13 +8,13 @@ class ModelSpec extends AnyFunSuite with PropSupport {
   test("event key and parse round-trip") {
     val e = Event("C", "1")
     assert(e.key == "C:1")
-    assert(Event.parse("C:1") == e)
-    assert(Event.parse("Temp:high") == Event("Temp", "high"))
+    assert(Decode.event("C:1") == e)
+    assert(Decode.event("Temp:high") == Event("Temp", "high"))
   }
 
   test("event parse keeps the last colon as separator") {
-    assert(Event.parse("a:b:c") == Event("a:b", "c"))
-    intercept[IllegalArgumentException](Event.parse("nocolon"))
+    assert(Decode.event("a:b:c") == Event("a:b", "c"))
+    intercept[IllegalArgumentException](Decode.event("nocolon"))
   }
 
   test("event ordering is (series, symbol) lexicographic") {
@@ -23,8 +23,8 @@ class ModelSpec extends AnyFunSuite with PropSupport {
   }
 
   test("interval duration is inclusive; empty intervals rejected") {
-    assert(Interval(3, 3).duration == 1)
-    assert(Interval(1, 4).duration == 4)
+    assert(Decode.duration(Interval(3, 3)) == 1)
+    assert(Decode.duration(Interval(1, 4)) == 4)
     intercept[IllegalArgumentException](Interval(5, 4))
   }
 
@@ -70,10 +70,11 @@ class ModelSpec extends AnyFunSuite with PropSupport {
   }
 
   test("SeqDB requires dense 1-based granule positions") {
-    val r1 = GranuleRow(1, Vector.empty)
-    val r3 = GranuleRow(3, Vector.empty)
-    intercept[IllegalArgumentException](SeqDB(3, Vector(r1, r3)))
-    assert(SeqDB(3, Vector(r1, GranuleRow(2, Vector.empty))).size == 2)
+    // Dense by construction: a granule without instances is an empty row.
+    val c1 = Event("C", "1")
+    val db = SeqDB.assemble(3, Vector(c1), 3)(sink => sink(3, 0, 7, 8))
+    assert(db.size == 3 && db.rows.map(_.pos) == Vector(1, 2, 3))
+    assert(db.rows.map(_.instances) == Vector(Vector.empty, Vector.empty, Vector(Instance(c1, Interval(7, 8)))))
   }
 
   test("SeqDB.allEvents is sorted and distinct") {

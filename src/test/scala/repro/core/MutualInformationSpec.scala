@@ -10,16 +10,25 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   private def s(id: String, syms: String*) = SymbolicSeries(id, syms.toVector)
   private val Tol = 1e-9
 
+  /** p(x) per symbol: the row sums of X's joint counts with itself. */
+  private def probs(x: SymbolicSeries): Map[String, Double] = {
+    val t = joint(x, x)
+    t.xSymbols.indices.map(i => t.xSymbols(i) -> t.ySymbols.indices.map(t.count(i, _)).sum.toDouble / t.n).toMap
+  }
+
   test("entropy of a fair binary series is 1 bit (Eq. 2)") {
-    assert(math.abs(entropy(s("X", "0", "1", "0", "1")) - 1.0) < Tol)
+    val x = s("X", "0", "1", "0", "1")
+    assert(math.abs(joint(x, x).hX - 1.0) < Tol)
   }
 
   test("entropy of a constant series is 0") {
-    assert(entropy(s("X", "a", "a", "a")) == 0.0)
+    val x = s("X", "a", "a", "a")
+    assert(joint(x, x).hX == 0.0)
   }
 
   test("entropy of a uniform 4-symbol series is 2 bits") {
-    assert(math.abs(entropy(s("X", "a", "b", "c", "d")) - 2.0) < Tol)
+    val x = s("X", "a", "b", "c", "d")
+    assert(math.abs(joint(x, x).hX - 2.0) < Tol)
   }
 
   test("probs are empirical frequencies") {
@@ -38,14 +47,21 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   test("MI of independent series is 0; of identical series is H (Eq. 4)") {
     val x = s("X", "1", "1", "0", "0")
     val indep = s("Y", "1", "0", "1", "0")
-    assert(math.abs(mi(x, indep)) < Tol)
-    assert(math.abs(mi(x, x) - entropy(x)) < Tol)
+    assert(math.abs(joint(x, indep).mi) < Tol)
+    assert(math.abs(joint(x, x).mi - joint(x, x).hX) < Tol)
   }
 
   test("chain rule: I(X;Y) = H(X) - H(X|Y) (Eqs. 3-4)") {
     val x = s("X", "1", "1", "0", "0", "1", "0")
     val y = s("Y", "1", "0", "0", "0", "1", "1")
-    assert(math.abs(mi(x, y) - (entropy(x) - condEntropy(x, y))) < Tol)
+    val t = joint(x, y)
+    // H(X|Y) = -sum p(x, y) log2(p(x, y) / p(y)) over the non-empty cells (Eq. 3).
+    def p(c: Long) = c.toDouble / t.n
+    val hXgivenY = -(for (i <- t.xSymbols.indices; j <- t.ySymbols.indices if t.count(i, j) > 0) yield {
+      val py = t.xSymbols.indices.map(t.count(_, j)).sum
+      p(t.count(i, j)) * math.log(p(t.count(i, j)) / p(py)) / math.log(2)
+    }).sum
+    assert(math.abs(t.mi - (t.hX - hXgivenY)) < Tol)
   }
 
   test("NMI is in [0,1]; identical series give 1; constants give 0 (Eq. 5)") {
@@ -64,17 +80,18 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
     val y = s("Y", "1", "1", "0", "0", "1", "1", "0", "0")
     val fwd = nmi(x, y); val bwd = nmi(y, x)
     // I is symmetric, the normalizers H(X) != H(Y) are not.
-    assert(math.abs(mi(x, y) - mi(y, x)) < Tol)
-    assert(entropy(x) != entropy(y))
-    assert(math.abs(fwd - bwd) > 1e-12 || mi(x, y) == 0.0)
+    val t = joint(x, y)
+    assert(math.abs(t.mi - joint(y, x).mi) < Tol)
+    assert(t.hX != t.hY)
+    assert(math.abs(fwd - bwd) > 1e-12 || t.mi == 0.0)
   }
 
   test("property: 0 <= I(X;Y) <= min(H(X), H(Y))") {
     val gen = Gen.listOfN(40, Gen.oneOf("0", "1", "2")).map(_.toVector)
     checkProp(Prop.forAll(gen, gen) { (xs, ys) =>
       val x = SymbolicSeries("X", xs); val y = SymbolicSeries("Y", ys)
-      val i = mi(x, y)
-      i >= -Tol && i <= math.min(entropy(x), entropy(y)) + Tol
+      val t = joint(x, y)
+      t.mi >= -Tol && t.mi <= math.min(t.hX, t.hY) + Tol
     }, minTests = 50)
   }
 
@@ -145,10 +162,8 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
       val v = Iterator.continually(Vector.fill(1 + rnd.nextInt(20))(rnd.nextInt(1 + trial % 4).toString))
         .flatten.take(n).map(new String(_)).toVector
       val x = SymbolicSeries("X", v)
-      assert(x.symbols == v, s"trial $trial")
-      var runs = 0
-      x.foreachRun((_, _, _) => runs += 1)
-      assert(runs == (1 until n).count(i => v(i) != v(i - 1)) + 1, s"trial $trial")
+      assert(Decode.symbols(x) == v, s"trial $trial")
+      assert(Decode.runs(x).size == (1 until n).count(i => v(i) != v(i - 1)) + 1, s"trial $trial")
       assert(x.length == n && x.alphabet == v.distinct.sorted)
     }
     intercept[IllegalArgumentException](SymbolicSeries("E", Vector.empty))

@@ -61,7 +61,7 @@ class PaperExampleSpec extends AnyFunSuite {
     val key = PatternKey(Vector(ev("C:1"), ev("D:1")), Vector((Rel.Contains, true)))
     val fp = result.frequent.find(_.key == key)
     assert(fp.isDefined, s"pattern $key not frequent; frequent 2-patterns: " +
-      result.frequentOfSize(2).map(_.key.render).mkString(", "))
+      Decode.frequentOfSize(result, 2).map(_.key.render).mkString(", "))
     assert(fp.get.support == Vector(1, 2, 3, 7, 8, 11, 12, 14))
     assert(fp.get.seasons.map(_.granules) ==
       Vector(Vector(1, 2, 3), Vector(11, 12, 14)))

@@ -61,7 +61,7 @@ class STPMSpec extends AnyFunSuite {
     val db = SequenceDB.build(syb, 3)
     val cfg = STPMConfig(SeasonCfg(2, 2, 1, 10, 2), maxK = 2)
     val res = STPM.mine(db, cfg)
-    val selfFollows = res.frequentOfSize(2).find(p =>
+    val selfFollows = Decode.frequentOfSize(res, 2).find(p =>
       p.key.events == Vector(Event("X", "1"), Event("X", "1")))
     assert(selfFollows.isDefined, res.frequent.map(_.key.render).mkString(", "))
     assert(selfFollows.get.key.rels == Vector((Rel.Follows, true)))
@@ -103,7 +103,7 @@ class STPMSpec extends AnyFunSuite {
     val db = SequenceDB.build(syb, 4)
     val cfg = STPMConfig(SeasonCfg(2, 2, 1, 10, 2), maxK = 3)
     val res = STPM.mine(db, cfg)
-    val k3 = res.frequentOfSize(3)
+    val k3 = Decode.frequentOfSize(res, 3)
     assert(k3.nonEmpty, res.frequent.map(_.key.render).mkString(", "))
     // A [1,4] contains B [2,4] contains C [3,4] in every active granule.
     val key = PatternKey(

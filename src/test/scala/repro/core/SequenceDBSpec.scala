@@ -1,8 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop}
 
-class SequenceDBSpec extends AnyFunSuite {
+class SequenceDBSpec extends AnyFunSuite with PropSupport {
 
   /** Temporal sequence of one series inside one coarse granule (Def. 3.12):
     * its symbols from fine position `fineStart` on, consecutive identical
@@ -18,15 +19,15 @@ class SequenceDBSpec extends AnyFunSuite {
     out.result()
   }
 
-  /** D_SEQ by Def. 3.13 position by position: each granule's slice of each
-    * series through [[sequenceOf]], rows in canonical order.
+  /** D_SEQ's rows by Def. 3.13 position by position: each granule's slice
+    * of each series through [[sequenceOf]], rows in canonical order.
     */
-  private def perPositionBuild(syb: SymbolicDB, m: Int): SeqDB =
-    SeqDB(m, (1 to Granularity.coarseLength(syb.length, m)).toVector.map { g =>
+  private def perPositionBuild(syb: SymbolicDB, m: Int): Vector[GranuleRow] =
+    (1 to Granularity.coarseLength(syb.length, m)).toVector.map { g =>
       val lo = (g - 1) * m
-      GranuleRow(g, syb.series.flatMap(s => sequenceOf(s.id, s.symbols.slice(lo, lo + m), lo + 1))
+      GranuleRow(g, syb.series.flatMap(s => sequenceOf(s.id, Decode.symbols(s).slice(lo, lo + m), lo + 1))
         .sorted(Instance.ordering))
-    })
+    }
 
   test("sequenceOf run-length-encodes consecutive identical symbols") {
     val seq = sequenceOf("C", Vector("1", "1", "0"), fineStart = 1)
@@ -47,7 +48,7 @@ class SequenceDBSpec extends AnyFunSuite {
   test("sequenceOf alternating symbols produces one instance each") {
     val seq = sequenceOf("X", Vector("a", "b", "a"), 1)
     assert(seq.size == 3)
-    assert(seq.map(_.interval.duration).forall(_ == 1))
+    assert(seq.map(i => Decode.duration(i.interval)).forall(_ == 1))
   }
 
   test("build: Table IV granule count and granularity") {
@@ -98,7 +99,7 @@ class SequenceDBSpec extends AnyFunSuite {
     val syb = SymbolicDB(Vector(SymbolicSeries("X", Vector("1", "0", "1"))))
     val db = SequenceDB.build(syb, 1)
     assert(db.size == 3)
-    assert(db.rows.forall(_.instances.forall(_.interval.duration == 1)))
+    assert(db.rows.forall(_.instances.forall(i => Decode.duration(i.interval) == 1)))
   }
 
   test("instances within each granule are canonically ordered") {
@@ -109,8 +110,7 @@ class SequenceDBSpec extends AnyFunSuite {
   test("every instance lies inside its granule's fine range") {
     val db = Fixtures.tableIV
     for (row <- db.rows; i <- row.instances) {
-      val (lo, hi) = Granularity.fineRange(row.pos, db.m)
-      assert(i.start >= lo && i.end <= hi)
+      assert(i.start >= (row.pos - 1) * db.m + 1 && i.end <= row.pos * db.m)
     }
   }
 
@@ -127,14 +127,43 @@ class SequenceDBSpec extends AnyFunSuite {
         SymbolicSeries(s"S$k", symbols)
       })
       for (m <- Seq(1, 3, n, n + 1))
-        assert(SequenceDB.build(syb, m) == perPositionBuild(syb, m), s"trial $trial at m $m")
+        assert(SequenceDB.build(syb, m).rows == perPositionBuild(syb, m), s"trial $trial at m $m")
     }
+  }
+
+  test("property: build's rows equal the per-position mapping, and its dictionary their events") {
+    // Each series draws its own alphabet, so events differ by series, and
+    // ids such as S10 < S2 sort as strings.
+    val series = for {
+      alphabet <- Gen.choose(1, 3).flatMap(Gen.pick(_, Seq("0", "1", "a", "b", "10")))
+      runs <- Gen.nonEmptyListOf(Gen.zip(Gen.oneOf(alphabet.toSeq), Gen.choose(1, 6)))
+    } yield runs.flatMap { case (symbol, len) => Seq.fill(len)(symbol) }.toVector
+    val dbs = for {
+      n <- Gen.choose(1, 40)
+      k <- Gen.choose(1, 12)
+      ss <- Gen.listOfN(k, series.map(v => Iterator.continually(v).flatten.take(n).toVector))
+    } yield SymbolicDB(ss.toVector.zipWithIndex.map { case (v, i) => SymbolicSeries(s"S${11 - i}", v) })
+    checkProp(Prop.forAllNoShrink(dbs, Gen.oneOf(1, 3, 7)) { (syb, m) =>
+      val db = SequenceDB.build(syb, m)
+      val rows = perPositionBuild(syb, m)
+      db.m == m && db.rows == rows &&
+        db.allEvents == rows.flatMap(_.instances.map(_.event)).distinct.sorted
+    }, minTests = 200)
+  }
+
+  test("build rejects an m and event count whose instance keys overflow a Long") {
+    def syb(symbols: Int) = SymbolicDB(Vector(SymbolicSeries("X", Vector.tabulate(symbols)(_.toString))))
+    val m = 1 << 30 // 2^60 (start, end) pairs in a granule: 7 events fit, 8 do not
+    assert(SequenceDB.build(syb(7), m).rows == perPositionBuild(syb(7), m))
+    val e = intercept[IllegalArgumentException](SequenceDB.build(syb(8), m))
+    assert(e.getMessage.contains("overflow"), e.getMessage)
   }
 
   /** The instances `SequenceDB.encode` emits for `runs`, with their granules. */
   private def encoded(runs: Seq[(Int, Int, String)], m: Int): Vector[(Int, Instance)] = {
     val out = Vector.newBuilder[(Int, Instance)]
-    SequenceDB.encode("X", runs, m)((g, i) => out += ((g, i)))
+    SequenceDB.encode("X", runs, m)((g, symbol, start, end) =>
+      out += ((g, Instance(Event("X", symbol), Interval(start, end)))))
     out.result()
   }
 

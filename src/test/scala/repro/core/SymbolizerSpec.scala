@@ -28,29 +28,6 @@ class SymbolizerSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](Symbolizer.thresholds(Vector(1.0), Vector(2.0, 1.0)))
   }
 
-  test("quantileCuts produce at most alpha-1 ascending cuts") {
-    val vs = (1 to 100).toVector.map(_.toDouble)
-    val cuts = Symbolizer.quantileCuts(vs, 4)
-    assert(cuts.size == 3)
-    assert(cuts == cuts.sorted)
-  }
-
-  test("quantiles: equi-depth bins on uniform data are balanced") {
-    val vs = (1 to 100).toVector.map(_.toDouble)
-    val syms = Symbolizer.quantiles(vs, 4)
-    val counts = syms.groupBy(identity).view.mapValues(_.size).toMap
-    assert(counts.keySet == Set("0", "1", "2", "3"))
-    assert(counts.values.forall(c => c >= 20 && c <= 30))
-  }
-
-  test("quantiles on constant data collapse to one symbol") {
-    val vs = Vector.fill(10)(7.0)
-    // All cuts coincide → distinct leaves a single cut; everything lands
-    // in the top bin.
-    val syms = Symbolizer.quantiles(vs, 3)
-    assert(syms.distinct.size == 1)
-  }
-
   test("property: symbolization is monotone in the value") {
     val genVals = Gen.listOfN(50, Gen.choose(-100.0, 100.0)).map(_.toVector)
     checkProp(Prop.forAll(genVals) { vs =>
@@ -64,16 +41,5 @@ class SymbolizerSpec extends AnyFunSuite with PropSupport {
         }
       }
     }, minTests = 30)
-  }
-
-  test("symbolicDB aligns series and applies per-series alphabets") {
-    val raw = Vector(
-      ("X", (1 to 20).toVector.map(_.toDouble)),
-      ("Y", (1 to 20).toVector.map(i => (21 - i).toDouble)))
-    val db = Symbolizer.symbolicDB(raw, 2)
-    assert(db.ids == Vector("X", "Y"))
-    assert(db.length == 20)
-    assert(db.byId("X").symbols.take(10).forall(_ == "0"))
-    assert(db.byId("Y").symbols.take(10).forall(_ == "1"))
   }
 }

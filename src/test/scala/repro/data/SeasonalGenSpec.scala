@@ -42,11 +42,11 @@ class SeasonalGenSpec extends AnyFunSuite {
     val spec = inf()
     val syb = symbolic(spec)
     assert(syb.length == spec.fineLength)
-    for (s <- syb.series) assert(s.symbols.toSet.subsetOf(Set("0", "1", "2")))
+    for (s <- syb.series) assert(Decode.symbols(s).toSet.subsetOf(Set("0", "1", "2")))
     // A planted participant has substantially more level-2 activity than a
     // noise-only series (which only has rare spikes).
-    val planted = syb.byId(seriesName(0)).symbols.count(_ == "2").toDouble / syb.length
-    val noiseOnly = syb.byId(seriesName(spec.nSeries - 1)).symbols.count(_ == "2").toDouble / syb.length
+    val planted = Decode.symbols(Decode.byId(syb, seriesName(0))).count(_ == "2").toDouble / syb.length
+    val noiseOnly = Decode.symbols(Decode.byId(syb, seriesName(spec.nSeries - 1))).count(_ == "2").toDouble / syb.length
     assert(planted > 10 * noiseOnly)
     assert(noiseOnly < 0.01)
     // No symbol is granule-universal for any series (the artifact guard).
@@ -77,7 +77,7 @@ class SeasonalGenSpec extends AnyFunSuite {
       Vector(Event(seriesName(0), "2"), Event(seriesName(1), "2")),
       Vector((Rel.Contains, true)))
     assert(res.keys.contains(key),
-      res.frequentOfSize(2).map(_.key.render).mkString(", "))
+      Decode.frequentOfSize(res, 2).map(_.key.render).mkString(", "))
   }
 
   test("the planted Follows pair is recovered with its relation") {
@@ -89,7 +89,7 @@ class SeasonalGenSpec extends AnyFunSuite {
       Vector(Event(seriesName(7), "2"), Event(seriesName(8), "2")),
       Vector((Rel.Follows, true)))
     assert(res.keys.contains(key),
-      res.frequentOfSize(2).map(_.key.render).mkString(", "))
+      Decode.frequentOfSize(res, 2).map(_.key.render).mkString(", "))
   }
 
   test("scaled() builds block-structured datasets") {
