@@ -7,11 +7,11 @@ import scala.collection.mutable
   * k-event group's [[GroupMined]] in mining order (tasks name a group by its
   * index), holding the group's support set (EH_k), its candidate patterns
   * and their support sets (PH_k) and occurrence tuples (GH_k). `pairRels`
-  * is the event-pair table the level was mined with ([[STPM.mineLevel]]),
-  * which the next level reuses.
+  * and `pairSup` are the event-pair table and pair supports the level was
+  * mined with ([[STPM.mineLevel]]), which the next level reuses.
   */
-class HLHk private[core] (val k: Int, val groups: IndexedSeq[GroupMined], private[core] val pairRels: Array[Int])
-    extends Serializable {
+class HLHk private[core] (val k: Int, val groups: IndexedSeq[GroupMined], private[core] val pairRels: Array[Int],
+                          private[core] val pairSup: Array[Long]) extends Serializable {
   def patterns: Iterator[MinedPattern] = groups.iterator.flatMap(_.patterns)
 
   /** Stored entries, a machine-independent memory proxy: per group, support
@@ -30,7 +30,7 @@ class HLHk private[core] (val k: Int, val groups: IndexedSeq[GroupMined], privat
   * instances at each supporting granule as 1-tuples (GH).
   */
 final class HLH1 private (val candidates: Vector[Event], val granules: Array[Array[Int]],
-                          groups: IndexedSeq[GroupMined]) extends HLHk(1, groups, Array.emptyIntArray) {
+                          groups: IndexedSeq[GroupMined]) extends HLHk(1, groups, Array.emptyIntArray, Array.emptyLongArray) {
   def support(e: Int): Array[Int] = groups(e).sup
 
   def eh: Map[Event, Vector[Int]] = candidates.zip(groups.map(_.sup.toVector)).toMap

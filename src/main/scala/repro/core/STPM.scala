@@ -42,6 +42,8 @@ final class MiningStats {
   var candidateEvents: Int = 0
   val candidateGroups: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
   val candidatePatterns: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
+  /** Per level, the tasks the pair-support test rejected ([[STPM.mineGroup]]). */
+  val pairRejected: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
   var relationChecks: Long = 0L
   var occurrences: Long = 0L
   var peakEntries: Long = 0L
@@ -49,7 +51,7 @@ final class MiningStats {
   def noteEntries(n: Long): Unit = if (n > peakEntries) peakEntries = n
   override def toString: String =
     s"events=$candidateEvents/$totalEvents groups=${candidateGroups.toMap} " +
-      s"patterns=${candidatePatterns.toMap} relChecks=$relationChecks " +
+      s"patterns=${candidatePatterns.toMap} pairRejected=${pairRejected.toMap} relChecks=$relationChecks " +
       s"occurrences=$occurrences peakEntries=$peakEntries"
 }
 
@@ -63,11 +65,12 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
 final class GroupTask(val parent: Int, val ek: Int) extends Serializable
 
 /** What every task of one level reads: HLH_1, the previous level's groups,
-  * the event-pair table `pairRels` ([[STPM.mineLevel]]) and the config.
+  * the event-pair table `pairRels` with its pair supports `pairSup`
+  * ([[STPM.mineLevel]]) and the config.
   */
 final class Level(val hlh1: HLH1, val prev: IndexedSeq[GroupMined], val pairRels: Array[Int],
-                  val cfg: STPMConfig) extends Serializable {
-  def mine(t: GroupTask): Option[GroupMined] = STPM.mineGroup(hlh1, prev(t.parent), t.ek, pairRels, cfg)
+                  val pairSup: Array[Long], val cfg: STPMConfig) extends Serializable {
+  def mine(t: GroupTask): Option[GroupMined] = STPM.mineGroup(hlh1, prev(t.parent), t.ek, pairRels, pairSup, cfg)
 }
 
 /** A candidate pattern of a mined group. `rels` holds each slot pair's
@@ -205,11 +208,34 @@ object STPM {
     // (relation, flag) code c for events (e0, e1), the codes of HLH_2's
     // candidate 2-patterns. Every 2-subpattern of a candidate k-pattern is
     // one of them (Lemmas 3–4), so the table is sound at every k >= 3.
-    val pairRels = if (!iterative) Array.emptyIntArray else if (k > 3) prev.pairRels else {
-      val table = new Array[Int](n * n)
-      foreachCandidate(prev, cfg.season)((group, p) => table(group(0) * n + group(1)) |= 1 << p.rels(0))
-      table
-    }
+    // Bits 6 and up of a pair with a code number its row in `pairSup`: the
+    // union of those patterns' support sets, as a bitset of `words` longs
+    // over granules 0..|D_SEQ| ([[mineGroup]]'s pair-support test).
+    val words = bitsetWords(hlh1)
+    val (pairRels, pairSup) =
+      if (!iterative) (Array.emptyIntArray, Array.emptyLongArray)
+      else if (k > 3) (prev.pairRels, prev.pairSup)
+      else {
+        val table = new Array[Int](n * n)
+        // At most one row per HLH_2 group, each group being one pair.
+        val groups = prev.groups.size
+        require(groups < (1 << 26) && groups.toLong * words <= Int.MaxValue, "too many event pairs for the pair table")
+        val sup = new Array[Long](groups * words)
+        var rows = 0
+        foreachCandidate(prev, cfg.season) { (group, p) =>
+          val i = group(0) * n + group(1)
+          if (table(i) == 0) { table(i) = rows << 6; rows += 1 }
+          table(i) |= 1 << p.rels(0)
+          val row = (table(i) >>> 6) * words
+          var j = 0
+          while (j < p.support.length) {
+            val g = p.support(j)
+            sup(row + (g >>> 6)) |= 1L << g
+            j += 1
+          }
+        }
+        (table, if (rows == groups) sup else java.util.Arrays.copyOf(sup, rows * words))
+      }
     // Canonical extension only; ek == last repeats an event (at level 2,
     // the self-pairs).
     val tasks = for {
@@ -218,13 +244,17 @@ object STPM {
       if inCandidate(ek) && (pairOk.isEmpty || gm.group.forall(e => pairOk(e * n + ek)))
     } yield new GroupTask(parent, ek)
 
+    val listed = tasks.toVector
+    val mined = exec(new Level(hlh1, prev.groups, pairRels, pairSup, cfg), listed)
+    // With pair supports, the kernel rejects a task only by their test.
+    if (pairSup.nonEmpty) stats.pairRejected.update(k, listed.size - mined.size)
     val groups = Vector.newBuilder[GroupMined]
-    for (gm <- exec(new Level(hlh1, prev.groups, pairRels, cfg), tasks.toVector)) {
+    for (gm <- mined) {
       stats.relationChecks += gm.checks
       stats.occurrences += gm.occurrences
       if (gm.patterns.nonEmpty) groups += gm
     }
-    new HLHk(k, groups.result(), pairRels)
+    new HLHk(k, groups.result(), pairRels, pairSup)
   }
 
   /** `f(group, pattern)` for each candidate pattern of `level`, in order
@@ -247,24 +277,37 @@ object STPM {
     if (cfg.apriori) Seasonality.isCandidate(sup, n, cfg.season) else n > 0
 
   /** The group-mining kernel (Sec. IV-D 4.2): extend `parentGroup` by
-    * event id `ek`, or None if the new group's support is not admitted. Each
-    * parent pattern walks its own support and finds `ek`'s instances at a
-    * granule in O(1) through HLH_1's granule index; every occurrence there
-    * grows by one instance of `ek`. Its k-1 new (relation, flag) pairs are
-    * checked against a non-empty `pairRels` and, packed base 6, key the new
-    * pattern with the parent pattern's index. Returns only admitted
-    * patterns, in the order of their first granule (then parent), and its
-    * work as values; pure in its inputs, so it runs on any thread or
-    * executor. At the last level (k = maxK), whose occurrences nothing
-    * reads, the patterns keep their support sets only.
+    * event id `ek`, or None if the new group's support is not admitted.
+    * With pair supports, the pair-support test comes first: S is the AND
+    * of the `pairSup` rows of the k-1 pairs (e, ek), e in the parent group
+    * (a pair with no row gives None), and the task is rejected unless S is
+    * admitted. Every occurrence that passes the code test lies in S
+    * (Lemmas 3–4), and S lies in the events' support intersection, so the
+    * group test then holds. Each parent pattern walks the granules of its
+    * own support (those in S) and finds `ek`'s instances there in O(1)
+    * through HLH_1's granule index; every occurrence there grows by one
+    * instance of `ek`. Its k-1 new (relation, flag) pairs are checked
+    * against a non-empty `pairRels` and, packed base 6, key the new pattern
+    * with the parent pattern's index. Returns only admitted patterns, in
+    * the order of their first granule (then parent), and its work as
+    * values; pure in its inputs, so it runs on any thread or executor. At
+    * the last level (k = maxK), whose occurrences nothing reads, the
+    * patterns keep their support sets only.
     */
   private[repro] def mineGroup(hlh1: HLH1, parentGroup: GroupMined, ek: Int, pairRels: Array[Int],
-                               cfg: STPMConfig): Option[GroupMined] = {
+                               pairSup: Array[Long], cfg: STPMConfig): Option[GroupMined] = {
+    val w = parentGroup.group.length // k - 1 slots per parent tuple
+    val n = hlh1.candidates.size
+    // Slot s of a parent tuple is an instance of event group(s): the codes
+    // admitted for it with ek, and the pair's row, read once per task.
+    val masks = new Array[Int](w)
+    var m = 0
+    while (m < w) { masks(m) = if (pairRels.isEmpty) -1 else pairRels(parentGroup.group(m) * n + ek); m += 1 }
+    val inS = if (pairSup.isEmpty) null else pairSupport(masks, pairSup, bitsetWords(hlh1), cfg)
+    if (pairSup.nonEmpty && inS == null) return None
     val sup = hlh1.restrict(parentGroup.sup, ek)
     if (!admitted(sup, sup.length, cfg)) return None
     val parents = parentGroup.patterns
-    val w = parentGroup.group.length // k - 1 slots per parent tuple
-    val n = hlh1.candidates.size
     val dupOfLast = ek == parentGroup.group.last
     val keepOcc = w + 1 < cfg.maxK
     val at = hlh1.index(ek)
@@ -278,7 +321,7 @@ object STPM {
       var j = 0
       while (j < p.support.length) {
         val g = p.support(j)
-        if (at(g) < at(g + 1)) {
+        if ((inS == null || (inS(g >>> 6) >>> g & 1L) != 0) && at(g) < at(g + 1)) {
           val inst = hlh1.granules(g - 1)
           var o = p.occOff(j) * w
           while (o < p.occOff(j + 1) * w) {
@@ -291,10 +334,9 @@ object STPM {
                 var code, s = 0
                 while (s >= 0 && s < w) {
                   checks += 1
-                  val a = p.occ(o + s)
-                  val c = Relations.pairCode(inst, a, ei, cfg.rel)
+                  val c = Relations.pairCode(inst, p.occ(o + s), ei, cfg.rel)
                   code = code * 6 + c
-                  s = if (pairRels.isEmpty || (pairRels(inst(3 * a) * n + ek) >>> c & 1) != 0) s + 1 else -1
+                  s = if ((masks(s) >>> c & 1) != 0) s + 1 else -1
                 }
                 if (s == w) {
                   val key = pi.toLong << 32 | code & 0xffffffffL
@@ -318,6 +360,48 @@ object STPM {
     val candidates = bufs.iterator.filter(b => admitted(b.granules, b.supportSize, cfg)).map(_.result()).toArray
       .sortBy(_.support(0))
     Some(new GroupMined(parentGroup.group :+ ek, sup, candidates, checks, occurrences))
+  }
+
+  /** A worker thread's buffers for [[pairSupport]], reused by its tasks. */
+  private final class PairScratch { var set = Array.emptyLongArray; var granules = Array.emptyIntArray }
+  private val pairScratch = ThreadLocal.withInitial[PairScratch](() => new PairScratch)
+
+  /** Longs in a bitset over granules 0..|D_SEQ|. */
+  private def bitsetWords(hlh1: HLH1): Int = (hlh1.granules.length + 64) >>> 6
+
+  /** The pair-support set S of a task whose k-1 event pairs with the new
+    * event have the `pairRels` entries `masks`: the AND of their rows of
+    * `words` longs (the calling thread's buffer, valid until its next
+    * call); null if a pair has no row or S is not admitted.
+    */
+  private def pairSupport(masks: Array[Int], pairSup: Array[Long], words: Int, cfg: STPMConfig): Array[Long] = {
+    val buf = pairScratch.get
+    if (buf.set.length < words) { buf.set = new Array[Long](words); buf.granules = new Array[Int](64 * words) }
+    val set = buf.set
+    java.util.Arrays.fill(set, 0, words, -1L)
+    var s = 0
+    while (s < masks.length) {
+      if ((masks(s) & 63) == 0) return null
+      val row = (masks(s) >>> 6) * words
+      var x, any = 0L
+      var wi = 0
+      while (wi < words) { x = set(wi) & pairSup(row + wi); set(wi) = x; any |= x; wi += 1 }
+      if (any == 0L) return null
+      s += 1
+    }
+    // S's granules in ascending order, for the candidate test.
+    val granules = buf.granules
+    var count, wi = 0
+    while (wi < words) {
+      var bits = set(wi)
+      while (bits != 0L) {
+        granules(count) = wi << 6 | java.lang.Long.numberOfTrailingZeros(bits)
+        count += 1
+        bits &= bits - 1
+      }
+      wi += 1
+    }
+    if (admitted(granules, count, cfg)) set else null
   }
 
   /** The parent's relation codes, then the `w` packed base 6 in `code`. */

@@ -245,6 +245,8 @@ object Experiments {
       rows,
       Vector("all four variants return identical pattern sets (asserted in tests)",
         "Apriori prunes events, groups and patterns with the season-structure bound (Seasonality.isCandidate); " +
-          "the paper's |SUP| / minDensity is looser"))
+          "the paper's |SUP| / minDensity is looser",
+        "Trans mines a level-k group (k >= 3) only in the granules where each pair of an event with the new one " +
+          "holds a candidate 2-pattern (pair supports, STPM.mineGroup); with Apriori, they must form a candidate"))
   }
 }

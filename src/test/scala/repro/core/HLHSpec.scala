@@ -126,25 +126,29 @@ class HLHSpec extends AnyFunSuite {
     val s = STPM.mine(db, Fixtures.stpmCfg.copy(maxK = 3)).stats
     assert(s.candidateGroups.toMap == Map(2 -> 12, 3 -> 6))
     assert(s.candidatePatterns.toMap == Map(2 -> 12, 3 -> 6))
-    assert(s.relationChecks == 447)
+    assert(s.pairRejected.toMap == Map(3 -> 38))
+    assert(s.relationChecks == 312)
     assert(s.occurrences == 267)
     assert(s.peakEntries == 670)
   }
 
   test("mining counters at maxK 4 on a random database, with and without Apriori pruning") {
     // Pinned counters. Trans-only (apriori = false) exercises the season
-    // bound inside the level-3 event-pair table, which k = 4 reuses.
+    // bound inside the level-3 event-pair table and pair supports, which
+    // k = 4 reuses.
     val db = TestData.randomDb(3, 90, 3, 7L)
     val all = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4)).stats
     assert(all.candidateGroups.toMap == Map(2 -> 10, 3 -> 6, 4 -> 2))
     assert(all.candidatePatterns.toMap == Map(2 -> 11, 3 -> 7, 4 -> 2))
-    assert(all.relationChecks == 558)
-    assert(all.occurrences == 340)
+    assert(all.pairRejected.toMap == Map(3 -> 16, 4 -> 4))
+    assert(all.relationChecks == 460)
+    assert(all.occurrences == 333)
     assert(all.peakEntries == 1282)
     val trans = STPM.mine(db, STPMConfig(TestData.lenient, maxK = 4, apriori = false)).stats
     assert(trans.candidateGroups.toMap == Map(2 -> 19, 3 -> 8, 4 -> 4))
     assert(trans.candidatePatterns.toMap == Map(2 -> 44, 3 -> 13, 4 -> 5))
-    assert(trans.relationChecks == 763)
+    assert(trans.pairRejected.toMap == Map(3 -> 35, 4 -> 6))
+    assert(trans.relationChecks == 524)
     assert(trans.occurrences == 362)
     assert(trans.peakEntries == 1845)
   }
@@ -155,8 +159,9 @@ class HLHSpec extends AnyFunSuite {
     assert(s.totalEvents == 36 && s.candidateEvents == 33)
     assert(s.candidateGroups.toMap == Map(2 -> 264, 3 -> 288))
     assert(s.candidatePatterns.toMap == Map(2 -> 265, 3 -> 288))
-    assert(s.relationChecks == 621397)
-    assert(s.occurrences == 314585)
+    assert(s.pairRejected.toMap == Map(3 -> 2255))
+    assert(s.relationChecks == 287300)
+    assert(s.occurrences == 206128)
     assert(s.peakEntries == 597546)
   }
 }

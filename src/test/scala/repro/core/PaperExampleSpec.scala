@@ -70,7 +70,7 @@ class PaperExampleSpec extends AnyFunSuite {
   test("pattern M:1 >= N:1 support — paper's listing modulo the H9 typo") {
     val hlh1 = HLH1.build(db, exampleCfg, apriori = true)
     val m1 = hlh1.groups(hlh1.candidates.indexOf(ev("M:1")))
-    val gm = STPM.mineGroup(hlh1, m1, hlh1.candidates.indexOf(ev("N:1")), Array.emptyIntArray, stpmCfg).get
+    val gm = STPM.mineGroup(hlh1, m1, hlh1.candidates.indexOf(ev("N:1")), Array.emptyIntArray, Array.emptyLongArray, stpmCfg).get
     val contains = Decode.patterns(hlh1, gm).find(_.key.rels == Vector((Rel.Contains, true)))
     assert(contains.isDefined)
     // Paper states {1,3,4,5,6} ∪ {10,11,13}; H9 holds identical instances

@@ -185,6 +185,86 @@ class STPMSpec extends AnyFunSuite {
     assert(mined == table(ReferenceMiner.mine(db, cfg.season, cfg.rel, 3)))
   }
 
+  test("property: a task the pair-support test rejects mines no admitted pattern without it; any other mines the same") {
+    var rejected, admittedTasks = 0
+    for (seed <- 1L to 6L; maxK <- Seq(3, 4); ap <- Seq(true, false); tr <- Seq(true, false)) {
+      val db = randomDb(4, 90, 3, seed)
+      val cfg = STPMConfig(lenient, maxK = maxK, apriori = ap, transitivity = tr)
+      val hlh1 = HLH1.build(db, cfg.season, cfg.apriori)
+      var prev = STPM.mineLevel(hlh1, hlh1, cfg, new MiningStats)
+      for (k <- 3 to maxK) {
+        val level = STPM.mineLevel(hlh1, prev, cfg, new MiningStats)
+        assert(level.pairSup.isEmpty || tr)
+        for (parent <- prev.groups; ek <- parent.group.last until hlh1.candidates.size) {
+          val at = s"seed=$seed maxK=$maxK apriori=$ap transitivity=$tr k=$k group=${parent.group.toVector :+ ek}"
+          // The same kernel with the same code table and no pair supports.
+          val full = STPM.mineGroup(hlh1, parent, ek, level.pairRels, Array.emptyLongArray, cfg)
+          STPM.mineGroup(hlh1, parent, ek, level.pairRels, level.pairSup, cfg) match {
+            case None =>
+              if (full.nonEmpty) rejected += 1
+              assert(full.forall(_.patterns.isEmpty), at)
+            case Some(gm) =>
+              admittedTasks += 1
+              val f = full.getOrElse(fail(at))
+              assert(gm.sup.toVector == f.sup.toVector, at)
+              assert(gm.patterns.map(p => (p.rels.toVector, p.support.toVector, p.occOff.toVector, p.occ.toVector))
+                .toVector == f.patterns.map(p => (p.rels.toVector, p.support.toVector, p.occOff.toVector, p.occ.toVector))
+                .toVector, at)
+              assert(gm.occurrences == f.occurrences && gm.checks <= f.checks, at)
+          }
+        }
+        prev = level
+      }
+    }
+    // Tasks the group test alone would have mined, and tasks left to mine.
+    assert(rejected > 100 && admittedTasks > 100, s"rejected=$rejected admitted=$admittedTasks")
+  }
+
+  test("the pair-support test rejects a group whose events' support intersection is a candidate") {
+    // Granules of 4 positions; A:1, B:1 and C:1 occur in the blocks
+    // {1,2,3}, {8,9,10}, {15,16,17} and {22,23,24}: four chained seasons.
+    // A:1 contains C:1 in the first three blocks; in the last, A:1's shape
+    // changes every granule, so (A:1, C:1) has a different relation at 22,
+    // 23 and 24, none of them a candidate 2-pattern. B:1 and C:1 mirror
+    // that: one relation in the last two blocks, three in the first two.
+    // The pair supports meet in {15,16,17} only, one season.
+    val blocks = Set(1, 2, 3, 8, 9, 10, 15, 16, 17, 22, 23, 24)
+    val shapes = Vector("1000", "0001", "1100") // Follows, follows, overlaps C's "0110"
+    def series(id: String, shape: Int => String) =
+      SymbolicSeries(id, (1 to 24).toVector.flatMap(g => (if (blocks(g)) shape(g) else "0000").map(_.toString)))
+    val db = SequenceDB.build(SymbolicDB(Vector(
+      series("A", g => if (g < 22) "1111" else shapes(g - 22)),
+      series("B", g => if (g >= 15) "1111" else shapes((g - 1) % 7)),
+      series("C", _ => "0110"))), 4)
+    val cfg = STPMConfig(SeasonCfg(2, 2, 1, 10, 2), maxK = 3)
+    val hlh1 = HLH1.build(db, cfg.season, apriori = true)
+    val Seq(a, b, c) = Seq("A:1", "B:1", "C:1").map(e => hlh1.candidates.indexOf(Fixtures.ev(e)))
+    val h2 = STPM.mineLevel(hlh1, hlh1, cfg, new MiningStats)
+    val stats = new MiningStats
+    val h3 = STPM.mineLevel(hlh1, h2, cfg, stats)
+    val n = hlh1.candidates.size
+    val words = (db.size + 64) / 64
+    def row(e0: Int, e1: Int): Vector[Int] = {
+      val r = h3.pairRels(e0 * n + e1)
+      (1 to db.size).toVector.filter(g => (h3.pairSup((r >>> 6) * words + g / 64) >>> g & 1L) != 0)
+    }
+    assert(row(a, c) == Vector(1, 2, 3, 8, 9, 10, 15, 16, 17))
+    assert(row(b, c) == Vector(15, 16, 17, 22, 23, 24))
+    val s = row(a, c).intersect(row(b, c)).toArray
+    assert(!Seasonality.isCandidate(s, s.length, cfg.season))
+    val ab = h2.groups.find(_.group.toVector == Vector(a, b)).get
+    val sup = hlh1.restrict(ab.sup, c)
+    assert(sup.toVector == blocks.toVector.sorted && Seasonality.isCandidate(sup, sup.length, cfg.season))
+    assert(STPM.mineGroup(hlh1, ab, c, h3.pairRels, h3.pairSup, cfg).isEmpty)
+    // Without the pair supports the group is mined: {15,16,17} only, and
+    // no pattern is admitted.
+    val full = STPM.mineGroup(hlh1, ab, c, h3.pairRels, Array.emptyLongArray, cfg).get
+    assert(full.checks > 0 && full.occurrences == 3 && full.patterns.isEmpty)
+    assert(stats.pairRejected(3) > 0)
+    def table(ps: Vector[FrequentPattern]) = ps.map(p => p.key -> ((p.support, p.seasons))).toMap
+    assert(table(STPM.mine(db, cfg).frequent) == table(ReferenceMiner.mine(db, cfg.season, cfg.rel, 3)))
+  }
+
   test("the pooled executor equals the inline one: same patterns in the same order, same counters") {
     for (seed <- 1L to 3L; maxK <- Seq(3, 4); ap <- Seq(true, false); tr <- Seq(true, false)) {
       val db = randomDb(4, 90, 3, seed)
@@ -200,7 +280,7 @@ class STPMSpec extends AnyFunSuite {
   test("an exception inside a pooled task reaches the caller as thrown, not wrapped") {
     val hlh1 = HLH1.build(Fixtures.tableIV, Fixtures.exampleCfg, apriori = true)
     val n = hlh1.candidates.size
-    val level = new Level(hlh1, hlh1.groups, Array.emptyIntArray, Fixtures.stpmCfg)
+    val level = new Level(hlh1, hlh1.groups, Array.emptyIntArray, Array.emptyLongArray, Fixtures.stpmCfg)
     // Event id n is out of range: the kernel's own IndexOutOfBoundsException.
     val tasks = Vector.tabulate(n)(e => new GroupTask(0, e)) :+ new GroupTask(0, n)
     for (exec <- Seq(STPM.inline, STPM.pooled))
