@@ -16,9 +16,11 @@ class FigRuntimeMemory extends AnyFunSuite {
   test("Figs. 7-10: runtime & memory, A-STPM vs E-STPM vs APS-growth") {
     val t = Experiments.runtimeMemory()
     BenchOut.emit("figRuntimeMemory", t)
+    def col(r: Vector[String], name: String): String = r(t.header.indexOf(name))
     for (r <- t.rows) {
-      val aMs = r(2).toLong; val eMs = r(4).toLong; val bMs = r(5).toLong
-      val aEntries = r(6).toLong; val eEntries = r(7).toLong
+      val aMs = col(r, "A-STPM ms").toLong; val eMs = col(r, "E-STPM ms").toLong
+      val bMs = col(r, "APS-growth ms").toLong
+      val aEntries = col(r, "A entries").toLong; val eEntries = col(r, "E entries").toLong
       // Ordering claims, without slack: all three times are medians of 5
       // runs (APS-growth / E-STPM is 38-84x in results/figRuntimeMemory.txt).
       assert(aMs <= eMs, s"A-STPM ($aMs ms) not faster than E-STPM ($eMs ms): $r")
@@ -26,7 +28,7 @@ class FigRuntimeMemory extends AnyFunSuite {
       assert(bMs > aMs, s"baseline ($bMs ms) not slower than A-STPM ($aMs ms): $r")
       assert(aEntries <= eEntries, s"A-STPM entries exceed E-STPM's: $r")
       // Result-set sanity: E-STPM and the baseline agree exactly.
-      assert(r(10) == r(11), s"E-STPM and APS-growth pattern counts differ: $r")
+      assert(col(r, "E #pat") == col(r, "APS #pat"), s"E-STPM and APS-growth pattern counts differ: $r")
     }
   }
 }

@@ -12,13 +12,18 @@ package repro.core
   */
 object ASTPM {
 
-  /** A-STPM outcome: the mining result plus what the MI stage pruned. */
+  /** A-STPM outcome: the mining result plus what the MI stage pruned.
+    * Of the series pairs, `entropyRejectedPairs` were rejected by the
+    * entropy bound alone and `mergedPairs` had their joint counts merged.
+    */
   final case class Result(
       mining: MiningResult,
       correlatedPairs: Set[(String, String)],
       allSeries: Vector[String],
       keptSeries: Set[String],
-      nmiMillis: Double) {
+      nmiMillis: Double,
+      entropyRejectedPairs: Int,
+      mergedPairs: Int) {
 
     def prunedSeries: Vector[String] = allSeries.filterNot(keptSeries.contains)
     def prunedSeriesPct: Double =
@@ -34,21 +39,33 @@ object ASTPM {
 
   /** Run Algorithm 2. `syb` and `db` must come from the same data (the
     * same symbolization and sequence mapping).
+    *
+    * A pair's μ needs only the two series' symbol counts. A pair whose
+    * entropy ratio is below μ ([[MutualInformation.screened]]) cannot reach
+    * it and is rejected without a joint merge; every other pair is merged
+    * and kept if its min NMI reaches μ.
     */
   def mine(syb: SymbolicDB, db: SeqDB, cfg: STPMConfig): Result = {
     val t0 = System.nanoTime()
     val ids = syb.ids
+    val ss = syb.series
     val correlated = Set.newBuilder[(String, String)]
+    var rejected = 0
+    var merged = 0
     for (i <- ids.indices; j <- (i + 1) until ids.size) {
-      val t = MutualInformation.joint(syb.series(i), syb.series(j))
-      if (t.minNmi >= t.mu(db.size, cfg.season.minSeason, cfg.season.minDensity)) correlated += ((ids(i), ids(j)))
+      val mu = MutualInformation.muForSeriesPair(ss(i), ss(j), db.size, cfg.season.minSeason, cfg.season.minDensity)
+      if (MutualInformation.screened(ss(i), ss(j), mu)) rejected += 1
+      else {
+        merged += 1
+        if (MutualInformation.joint(ss(i), ss(j)).minNmi >= mu) correlated += ((ids(i), ids(j)))
+      }
     }
     val nmiMillis = (System.nanoTime() - t0) / 1e6
     val corr = correlated.result()
     val kept: Set[String] = corr.flatMap(p => Set(p._1, p._2))
     val mining = STPM.mineFiltered(db, cfg, seriesFilter = Some(kept.contains),
       pairFilter = Some((a, b) => a == b || corr.contains((a, b)) || corr.contains((b, a))))
-    Result(mining, corr, ids, kept, nmiMillis)
+    Result(mining, corr, ids, kept, nmiMillis, rejected, merged)
   }
 
   /** Accuracy of A-STPM w.r.t. the exact result (Sec. VI-C4): the

@@ -13,7 +13,12 @@ import repro.core.Relations.RelCfg
   * 1–2), `transitivity` toggles the FilteredF1 / iterative
   * 2-pattern-existence check (Lemmas 3–4). All four
   * combinations return the same frequent patterns (both prunings are sound);
-  * they differ in work done.
+  * they differ in work done, and in memory: without `apriori` (NoPrune and
+  * the Trans-only ablation) every group and pattern with a non-empty support
+  * is kept, so HLH_k grows with the occurrences. On the RE preset at
+  * minSeason 4, maxK 5 Trans-only peaks at 110.7 M entries (12.2 M with both
+  * prunings); on INF it runs out of a 3 GB heap. No memory budget bounds
+  * this yet.
   */
 final case class STPMConfig(
     season: SeasonCfg,

@@ -196,7 +196,8 @@ object Experiments {
       val (e, eMs) = median5(STPM.mine(db, cfg))
       val (b, bMs) = median5(APSGrowth.mine(db, cfg))
       Vector(n, ms.toString,
-        aMs.toString, f"${a.nmiMillis}%.1f", eMs.toString, bMs.toString,
+        aMs.toString, f"${a.nmiMillis}%.1f", a.entropyRejectedPairs.toString, a.mergedPairs.toString,
+        eMs.toString, bMs.toString,
         a.mining.stats.peakEntries.toString, e.stats.peakEntries.toString,
         b._1.stats.peakEntries.toString,
         a.mining.frequent.size.toString, e.frequent.size.toString,
@@ -207,11 +208,12 @@ object Experiments {
     val rows = for (n <- names.toVector; ms <- minSeasons.toVector) yield row(n, ms)
     TableResult(s"Figs. 7-10 analog — runtime (ms) & memory (retained entries), " +
       s"maxPeriod=0.4%, minDensity=0.75%, maxK=$maxK",
-      Vector("dataset", "minSeason", "A-STPM ms", "(MI ms)", "E-STPM ms",
+      Vector("dataset", "minSeason", "A-STPM ms", "(MI ms)", "(MI bound-rejected)", "(MI merged)", "E-STPM ms",
         "APS-growth ms", "A entries", "E entries", "APS entries",
         "A #pat", "E #pat", "APS #pat"),
       rows,
       Vector("APS-growth entries = PS-tree nodes built", "ms: median of 5 runs",
+        "MI bound-rejected: series pairs whose entropy ratio min H / max H is below μ, rejected without a joint merge; MI merged: the other pairs",
         s"threads: E-STPM and A-STPM on a pool of ${sys.runtime.availableProcessors}, APS-growth on the calling thread",
         s"JVM max heap ${sys.runtime.maxMemory >> 20} MB, ${sys.runtime.availableProcessors} available processors"))
   }

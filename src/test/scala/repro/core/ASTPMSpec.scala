@@ -116,6 +116,37 @@ class ASTPMSpec extends AnyFunSuite {
     assert(approx.nmiMillis >= 0)
   }
 
+  /** Def. 5.4 without the entropy screen: every pair's joint counts are
+    * merged and its min NMI compared with μ.
+    */
+  private def mergeAll(s: SymbolicDB, d: SeqDB, cfg: STPMConfig): Set[(String, String)] = {
+    val ss = s.series
+    (for (i <- ss.indices; j <- (i + 1) until ss.size;
+          t = MutualInformation.joint(ss(i), ss(j))
+          if t.minNmi >= t.mu(d.size, cfg.season.minSeason, cfg.season.minDensity))
+      yield (ss(i).id, ss(j).id)).toSet
+  }
+
+  test("the entropy screen changes no correlated pair: RE, INF and the 8-series spec against merging every pair") {
+    val inputs = Seq("RE", "INF").map(n => (n, SeasonalGen.dataset(SeasonalGen.preset(n)))) :+ (("spec", (syb, db)))
+    var rejected = 0
+    for ((name, (s, d)) <- inputs; minSeason <- Seq(3, 8, 16)) {
+      val c = STPMConfig(Experiments.cfgOf(d.size, "RE", 0.4, 0.75, minSeason), maxK = 1)
+      val r = ASTPM.mine(s, d, c)
+      val n = s.series.size
+      assert(r.correlatedPairs == mergeAll(s, d, c), s"$name minSeason=$minSeason")
+      assert(r.entropyRejectedPairs + r.mergedPairs == n * (n - 1) / 2, s"$name minSeason=$minSeason")
+      rejected += r.entropyRejectedPairs
+    }
+    assert(rejected > 0)
+  }
+
+  test("MI stage counters on scaled INF, 48 series, seed 42: pairs rejected by the entropy bound, merged and correlated") {
+    val (s, d) = SeasonalGen.dataset(SeasonalGen.scaled("INF", 48, 800, 42L))
+    val r = ASTPM.mine(s, d, STPMConfig(Experiments.cfgOf(d.size, "INF", 0.4, 0.75, 8), maxK = 1))
+    assert((r.entropyRejectedPairs, r.mergedPairs, r.correlatedPairs.size, r.keptSeries.size) == ((633, 495, 21, 23)))
+  }
+
   test("at every level A-STPM pairs only correlated series, and its output does not depend on transitivity") {
     for (name <- Seq("RE", "INF")) {
       val (s, d) = SeasonalGen.dataset(SeasonalGen.preset(name))

@@ -154,6 +154,81 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
     }, minTests = 200)
   }
 
+  /** H(X), H(Y), μ and min NMI computed from the joint cells alone, as
+    * the kernel computed them before the series carried their counts: the
+    * marginals are the cells' row and column sums.
+    */
+  private def fromCells(t: JointCounts, dseq: Int, minSeason: Int, minDensity: Int): (Double, Double, Double, Double) = {
+    val xCounts = Array.tabulate(t.xSymbols.size)(i => t.ySymbols.indices.map(t.count(i, _)).sum)
+    val yCounts = Array.tabulate(t.ySymbols.size)(j => t.xSymbols.indices.map(t.count(_, j)).sum)
+    val n = xCounts.sum
+    def p(c: Long): Double = c / n.toDouble
+    def lg(v: Double): Double = math.log(v) / math.log(2.0)
+    def h(counts: Array[Long]): Double = -counts.map(c => p(c) * lg(p(c))).sum
+    var i = 0.0
+    for (a <- xCounts.indices; b <- yCounts.indices if t.count(a, b) > 0) {
+      val pxy = p(t.count(a, b))
+      i += pxy * lg(pxy / (p(xCounts(a)) * p(yCounts(b))))
+    }
+    def norm(hv: Double) = if (hv <= 0.0) 0.0 else math.max(0.0, i / hv)
+    def dir(a: Array[Long], b: Array[Long]): Double = {
+      val lambda1 = p(a.foldLeft(n)(math.min))
+      b.foldLeft(Double.PositiveInfinity)((m, c) =>
+        math.min(m, muForEventPair(lambda1, p(c), dseq, minSeason, minDensity)))
+    }
+    (h(xCounts), h(yCounts), math.min(dir(xCounts, yCounts), dir(yCounts, xCounts)),
+      math.min(norm(h(xCounts)), norm(h(yCounts))))
+  }
+
+  test("property: the entropy screen never rejects a pair whose min NMI reaches μ; H, μ and NMI equal the cell-derived values") {
+    // X has runs of 1-20 positions over an alphabet of 1-5 symbols. Y is
+    // drawn the same way (independent), or equals X, or relabels X through
+    // a random function of its symbols (then I = H(Y) exactly, and min NMI
+    // sits on the screen's bound).
+    val pool = Vector("a", "b", "c", "d", "e")
+    def runs(rnd: scala.util.Random, n: Int, alphabet: Vector[String]) =
+      Iterator.continually(Vector.fill(1 + rnd.nextInt(20))(alphabet(rnd.nextInt(alphabet.size))))
+        .flatten.take(n).toVector
+    def alphabet(rnd: scala.util.Random) = rnd.shuffle(pool).take(1 + rnd.nextInt(pool.size))
+    val pairs = for {
+      n <- Gen.choose(1, 400)
+      kind <- Gen.oneOf("independent", "equal", "function")
+      seed <- Gen.long
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val xs = runs(rnd, n, alphabet(rnd))
+      val ys = kind match {
+        case "independent" => runs(rnd, n, alphabet(rnd))
+        case "equal"       => xs
+        case _             => val f = xs.distinct.map(_ -> pool(rnd.nextInt(pool.size))).toMap; xs.map(f)
+      }
+      (kind, xs, ys)
+    }
+    val params = Gen.zip(Gen.choose(30, 2000), Gen.choose(1, 4), Gen.choose(1, 4))
+    var rejected = 0; var kept = 0; var onBound = 0
+    checkProp(Prop.forAllNoShrink(pairs, params) { case ((kind, xs, ys), (dseq, minSeason, minDensity)) =>
+      val x = SymbolicSeries("X", xs); val y = SymbolicSeries("Y", ys)
+      val t = joint(x, y)
+      val mu = muForSeriesPair(x, y, dseq, minSeason, minDensity)
+      if (screened(x, y, mu)) rejected += 1 else kept += 1
+      if (kind != "independent" && t.minNmi > 0.0) onBound += 1
+      (t.hX, t.hY, mu, t.minNmi) == fromCells(t, dseq, minSeason, minDensity) &&
+        (!screened(x, y, mu) || t.minNmi < mu) &&
+        !screened(x, y, t.minNmi) &&
+        t.minNmi <= entropyRatio(x, y) + 1e-12
+    }, minTests = 500)
+    assert(rejected > 0 && kept > 0 && onBound > 0, s"rejected $rejected, kept $kept, on the bound $onBound")
+  }
+
+  test("the entropy screen: a constant series bounds the ratio at 0, and X = Y at 1") {
+    val x = s("X", "1", "1", "0", "0", "1", "0")
+    val c = s("C", "a", "a", "a", "a", "a", "a")
+    assert(x.entropy == 1.0 && c.entropy == 0.0)
+    assert(entropyRatio(x, c) == 0.0 && entropyRatio(c, c) == 0.0 && entropyRatio(x, x) == 1.0)
+    assert(screened(x, c, 1e-3) && !screened(x, c, 0.0) && !screened(x, c, -1.0))
+    assert(!screened(x, x, 1.0) && screened(x, x, 1.0 + 1e-6))
+  }
+
   test("a symbolic series round-trips through its runs: one run per symbol change, plus 1") {
     val rnd = new scala.util.Random(3)
     for (trial <- 1 to 200) {
